@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from .scenario import (
     TimelineEntry,
     Undock,
     directive_from_dict,
+    json_bool,
 )
 
 ENV_CONFIG = "HETEROSIM_CONFIG"
@@ -87,8 +89,8 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         raise ValidationError("'params' must be an object")
     if "dt" in raw:
         script.dt = float(raw["dt"])
-        if script.dt <= 0:
-            raise ValidationError("'dt' must be > 0")
+        if not 0 < script.dt < math.inf:
+            raise ValidationError(f"'dt' must be finite and > 0, got {script.dt}")
     script.max_ticks = int(raw.get("max_ticks", script.max_ticks))
     if script.max_ticks <= 0:
         raise ValidationError("'max_ticks' must be > 0")
@@ -121,10 +123,17 @@ def _module_spec_of(entry: dict):
             mass_kg=float(p.get("mass", 1.0)),
             compute_mips=int(p.get("compute", 0)),
             energy_wh=float(p.get("energy_wh", 0.0)),
-            can_actively_lock=bool(p.get("can_lock", False)),
+            can_actively_lock=_json_bool(p.get("can_lock", False), "'can_lock'"),
         )
     from .model import spec_for
     return spec_for(entry["kind"])
+
+
+def _json_bool(value: object, what: str) -> bool:
+    try:
+        return json_bool(value)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
 def _validate_modules(raw_modules) -> list[dict]:
@@ -162,7 +171,7 @@ def _validate_modules(raw_modules) -> list[dict]:
             "pos": (float(pos[0]), float(pos[1])),
             "heading": heading,
             "soc": soc,
-            "sharing": bool(entry.get("sharing", True)),
+            "sharing": _json_bool(entry.get("sharing", True), f"{where}: 'sharing'"),
             "fallen_port": entry.get("fallen_port"),
             "passive": entry.get("passive", {}),
         })

@@ -59,16 +59,11 @@ def wired_deliver(world: World, msg: Message) -> int | None:
     """Deliver a wired message; returns hop count or None if undeliverable.
 
     Undeliverable means the endpoints are in different organisms, i.e.
-    routing would first require docking. Latency in ticks is hops times the
-    configured per-hop latency.
+    routing would first require docking.
     """
     if not msg.wired:
         raise ValueError("wired_deliver needs a message with a destination")
     return wired_hops(world, msg.src, msg.dst)
-
-
-def wired_latency_ticks(world: World, hops: int) -> int:
-    return hops * world.config.per_hop_latency_ticks
 
 
 def wireless_broadcast(world: World, src: str, payload: str = "") -> list[str]:

@@ -7,6 +7,7 @@ Each field is a single named knob; the CLI exposes them one to one via
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -23,7 +24,6 @@ class SimConfig:
     misalignment_tolerance: float = 0.05 # extra fraction of pitch tolerated when locking
     # Communication
     wireless_range: float = 2.0          # m, broadcast reach
-    per_hop_latency_ticks: int = 1       # wired latency per graph hop
     wireless_drop_probability: float = 0.0  # per-receiver loss; 0 keeps runs seed-free
     random_seed: int = 0                 # seeds the loss draws when used
     # Docking actuation (modeling constants; lock hardware is self-holding)
@@ -33,7 +33,6 @@ class SimConfig:
     current_limit_a: float = 8.0         # per-module export limiter
     recharge_max_a: float = 1.4          # 1C of the 1400 mAh pack
     recharge_enabled: bool = True
-    bus_tolerance_v: float = 1e-6        # guaranteed bus solve accuracy
     # Consumer loads (modeling constants)
     idle_draw_w: float = 0.5             # electronics baseline per module
     drive_draw_w: float = 5.0            # extra draw while a motor runs
@@ -44,18 +43,15 @@ class SimConfig:
     def validate(self) -> None:
         positive = (
             "dt", "module_pitch", "wireless_range", "dock_handshake_s",
-            "current_limit_a", "recharge_max_a", "bus_tolerance_v", "gravity",
-            "scout_max_torque_nm",
+            "current_limit_a", "recharge_max_a", "gravity", "scout_max_torque_nm",
         )
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         nonnegative = ("misalignment_tolerance", "lock_energy_j", "idle_draw_w", "drive_draw_w")
         for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.per_hop_latency_ticks < 0:
-            raise ConfigError("per_hop_latency_ticks must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.wireless_drop_probability <= 1.0:
             raise ConfigError("wireless_drop_probability must be in [0, 1]")
 

@@ -82,8 +82,6 @@ class Engine:
         self._tick_events: list[Event] = []
         self._pending_broadcasts: list[tuple[str, int, str]] = []  # (src, enqueue seq, payload)
         self._broadcast_seq = 0
-        self._wired_queue: list[tuple[int, int, str, str, str]] = []  # (due, seq, src, dst, payload)
-        self._wired_seq = 0
         self._inboxes: dict[str, list[ReceivedMessage]] = {}
         self._driving: set[str] = set()
         self.memory.refresh(world, set(), {})
@@ -103,20 +101,6 @@ class Engine:
         self.emit("DirectiveRejected", (module_id,), {
             "directive": type(directive).__name__, "reason": reason})
 
-    # -- messaging API for controllers ---------------------------------------
-
-    def send_wired(self, src: str, dst: str, payload: str) -> int | None:
-        """Queue a wired message; returns hop count, or None when the
-        endpoints are in different organisms (routing requires docking)."""
-        hops = commnet.wired_hops(self.world, src, dst)
-        if hops is None:
-            self.emit("MessageUndeliverable", (src, dst), {})
-            return None
-        due = self.world.tick + commnet.wired_latency_ticks(self.world, hops)
-        self._wired_queue.append((due, self._wired_seq, src, dst, payload))
-        self._wired_seq += 1
-        return hops
-
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> EventLog:
@@ -125,7 +109,7 @@ class Engine:
         return self.log
 
     def _work_pending(self) -> bool:
-        if self.activities or self._pending_broadcasts or self._wired_queue:
+        if self.activities or self._pending_broadcasts:
             return True
         if self._timeline_pos < len(self.timeline):
             return True
@@ -314,7 +298,6 @@ class Engine:
         port = state.ports[directive.own_port]
         port.state = PortState.APPROACHING
         port.peer = directive.peer
-        port.remaining_m = max(0.0, distance - self.config.module_pitch)
         self.activities[module_id] = _Activity("approach", data={
             "peer": directive.peer,
             "own_port": directive.own_port,
@@ -403,7 +386,7 @@ class Engine:
                 other = world.modules[mid]
                 other.pose.x += dx
                 other.pose.y += dy
-                if not other.off_ground and mechanics.can_drive(other):
+                if mechanics.can_drive(other):
                     self._driving.add(mid)
             activity.remaining_m -= step
             if activity.remaining_m <= _EPS:
@@ -435,11 +418,8 @@ class Engine:
                     other = world.modules[mid]
                     other.pose.x += ux * step
                     other.pose.y += uy * step
-                    if not other.off_ground and mechanics.can_drive(other):
+                    if mechanics.can_drive(other):
                         self._driving.add(mid)
-                port = state.ports[activity.data["own_port"]]
-                port.remaining_m = max(0.0, world.distance(module_id, peer)
-                                       - self.config.module_pitch)
         elif activity.kind == "actuate":
             self._driving.add(module_id)
             activity.remaining_s -= dt
@@ -495,8 +475,6 @@ class Engine:
         if port.state in (PortState.APPROACHING, PortState.ALIGNED):
             port.state = PortState.FREE
             port.peer = None
-            port.remaining_m = None
-            port.handshake_left_s = None
         peer = activity.data.get("peer")
         if activity.data.get("aligned") and peer in self.world.modules:
             peer_port = self.world.modules[peer].ports[activity.data["peer_port"]]
@@ -556,7 +534,6 @@ class Engine:
                 activity.data["handshake_left"] = self.config.dock_handshake_s
                 own_port = world.modules[module_id].ports[activity.data["own_port"]]
                 own_port.state = PortState.ALIGNED
-                own_port.remaining_m = 0.0
                 peer_state = world.modules[peer].ports[activity.data["peer_port"]]
                 if peer_state.state is PortState.FREE:
                     peer_state.state = PortState.ALIGNED
@@ -629,20 +606,7 @@ class Engine:
                 continue
             for receiver in receivers:
                 self._inboxes.setdefault(receiver, []).append(
-                    ReceivedMessage(src, payload, "wireless"))
+                    ReceivedMessage(src, payload))
             self.emit("Broadcast", (src,), {"receivers": receivers,
                                             "payload": payload})
         self._pending_broadcasts = []
-        still_queued = []
-        for due, seq, src, dst, payload in sorted(self._wired_queue):
-            if due > world.tick:
-                still_queued.append((due, seq, src, dst, payload))
-                continue
-            # Links may have broken since sending; re-check the route.
-            if commnet.wired_hops(world, src, dst) is None:
-                self.emit("MessageUndeliverable", (src, dst), {})
-                continue
-            self._inboxes.setdefault(dst, []).append(
-                ReceivedMessage(src, payload, "wired"))
-            self.emit("MessageDelivered", (src, dst), {})
-        self._wired_queue = still_queued

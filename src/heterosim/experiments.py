@@ -250,17 +250,6 @@ class RescuerController:
         self.failed = True
         self.done = True
 
-    def _await_completion(self, snap, emit, next_stage: str, reason: str) -> None:
-        # One tick after issuing, a rejected directive shows as idle again.
-        if snap.busy:
-            self._busy_seen = True
-            return
-        if self._busy_seen:
-            self._busy_seen = False
-            self.stage = next_stage
-        else:
-            self._fail(emit, reason)
-
     def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
         if tick > self.deadline_ticks and not self.done:
             self._fail(emit, "Timeout")

@@ -3,8 +3,8 @@
 Lift feasibility is quasi-static: a cantilevered chain of docked modules
 loads the lifting joint with the sum of per-module gravity moments, one
 pitch of lever arm per chain position. Joint actuation is constant-rate.
-Organism speed follows the slowest ground-contact driver, except in the
-carrying configuration where wheels do all the work.
+Organism speed follows the slowest ground-contact driver; in the carrying
+configuration the wheels are the only drivers, so they set the pace.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .model import ModuleKind, PortState, Posture, UPRIGHT, World
+from .model import PortState, Posture, UPRIGHT, World
 
 
 class Joint(Enum):
@@ -144,23 +144,15 @@ def can_drive(state) -> bool:
 def organism_speed(world: World, organism: Iterable[str]) -> float:
     """Ground speed of an organism in cm/s.
 
-    In the carrying configuration (every ground-contact member is an Active
-    Wheel and everything else is lifted) the wheels set the pace; otherwise
-    the slowest ground-contact driver does, and an organism with no driver
-    does not move.
+    The slowest ground-contact driver sets the pace; lifted members do not
+    count, so in the carrying configuration the wheels run at their own
+    speed. An organism with no driver does not move.
     """
-    members = sorted(organism)
-    if not members:
+    states = [world.modules[mid] for mid in organism]
+    if not states:
         raise ValueError("organism must be nonempty")
-    states = [world.modules[mid] for mid in members]
-    grounded = [st for st in states if not st.off_ground]
-    if grounded and all(st.kind is ModuleKind.ACTIVE_WHEEL for st in grounded) \
-            and len(grounded) < len(states) and all(can_drive(st) for st in grounded):
-        return 31.0
-    drivers = [st.spec.locomotion_speed_cm_s for st in grounded if can_drive(st)]
-    if not drivers:
-        return 0.0
-    return min(drivers)
+    return min((st.spec.locomotion_speed_cm_s for st in states if can_drive(st)),
+               default=0.0)
 
 
 def set_posture(world: World, module_id: str, posture: Posture) -> World:
@@ -189,8 +181,6 @@ def set_posture(world: World, module_id: str, posture: Posture) -> World:
             old.state = PortState.FREE
     port.state = PortState.DISABLED
     port.peer = None
-    port.remaining_m = None
-    port.handshake_left_s = None
     port.connection = None
     state.posture = posture
     return world

@@ -214,8 +214,6 @@ class DockStatus:
 
     state: PortState = PortState.FREE
     peer: Optional[str] = None              # module id, while approaching/aligned/locked
-    remaining_m: Optional[float] = None     # distance left, while approaching
-    handshake_left_s: Optional[float] = None  # lock countdown, while aligned
     connection: Optional["DockConnection"] = None  # set while locked
 
     @property
@@ -401,8 +399,6 @@ class World:
             status = self.modules[mid].ports[port]
             status.state = PortState.LOCKED
             status.peer = conn.other(mid)
-            status.remaining_m = None
-            status.handshake_left_s = None
             status.connection = conn
 
     def remove_connection(self, key: tuple[str, int, str, int]) -> DockConnection:

@@ -166,7 +166,6 @@ class PortView:
 class ReceivedMessage:
     src: str
     payload: str
-    channel: str  # "wired" | "wireless"
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,6 @@ class ModuleSnapshot:
     joint_rotation_deg: float
     ports: tuple[PortView, ...]
     messages: tuple[ReceivedMessage, ...]
-    neighbor_distances: tuple[tuple[str, float], ...]
 
     @property
     def upright(self) -> bool:
@@ -211,15 +209,9 @@ class SensorMemory:
 
     def refresh(self, world: World, busy: set[str],
                 inboxes: dict[str, list[ReceivedMessage]]) -> None:
-        reach = world.config.wireless_range
         snapshots = {}
         for mid in sorted(world.modules):
             st = world.modules[mid]
-            neighbors = tuple(
-                (other, world.distance(mid, other))
-                for other in sorted(world.modules)
-                if other != mid and world.distance(mid, other) <= reach
-            )
             snapshots[mid] = ModuleSnapshot(
                 module_id=mid,
                 kind=st.kind,
@@ -237,7 +229,6 @@ class SensorMemory:
                     PortView(i, p.state.value, p.peer) for i, p in enumerate(st.ports)
                 ),
                 messages=tuple(inboxes.get(mid, ())),
-                neighbor_distances=neighbors,
             )
         self.snapshots = snapshots
 
@@ -323,6 +314,16 @@ class ScenarioScript:
     params: dict = field(default_factory=dict)
 
 
+def json_bool(value: object) -> bool:
+    """``value`` if it is a JSON ``true`` or ``false``.
+
+    Anything else is refused rather than coerced: ``bool("false")`` is True.
+    """
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
     "move": lambda d: Move(float(d["distance"])),
     "turn": lambda d: Turn(int(d["angle"])),
@@ -331,7 +332,7 @@ _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
         int(d.get("orientation", 0))),
     "undock": lambda d: Undock(int(d["port"])),
     "actuate_joint": lambda d: ActuateJoint(Joint(d["joint"]), float(d["target"])),
-    "set_sharing": lambda d: SetSharing(bool(d["on"])),
+    "set_sharing": lambda d: SetSharing(json_bool(d["on"])),
     "lift_chain": lambda d: LiftChain(tuple(str(m) for m in d["chain"])),
     "lower_chain": lambda d: LowerChain(),
     "broadcast": lambda d: Broadcast(str(d.get("payload", ""))),

@@ -109,6 +109,50 @@ class TestLoadScenario:
         assert world.modules["p"].spec.mass_kg == 3.0
         assert world.modules["p"].spec.battery.energy_full_wh == 50.0
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, tmp_path, dt):
+        # json.loads accepts NaN and Infinity, and "nan <= 0" is False.
+        path = write(tmp_path, "s.json", {"builtin": "assembly", "dt": dt})
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert "'dt'" in str(exc.value)
+
+    @pytest.mark.parametrize("module, directive", [
+        ({"sharing": "false"}, {"type": "wait", "ticks": 1}),
+        ({"sharing": 0}, {"type": "wait", "ticks": 1}),
+        ({}, {"type": "set_sharing", "on": "false"}),
+        ({}, {"type": "set_sharing", "on": 1}),
+    ])
+    def test_booleans_must_be_json_booleans(self, tmp_path, module, directive):
+        payload = {
+            "modules": [{"id": "b", "kind": "backbone", **module}],
+            "timeline": [{"tick": 0, "module": "b", "directive": directive}],
+        }
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.json", payload))
+        assert "true or false" in str(exc.value)
+
+    def test_can_lock_must_be_json_boolean(self, tmp_path):
+        payload = {"modules": [{"id": "p", "kind": "passive",
+                                "passive": {"can_lock": "false"}}]}
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.json", payload))
+        assert "'can_lock'" in str(exc.value)
+
+    def test_json_booleans_accepted(self, tmp_path):
+        payload = {
+            "modules": [{"id": "b", "kind": "backbone", "sharing": False},
+                        {"id": "p", "kind": "passive", "pos": [1, 0],
+                         "passive": {"can_lock": True}}],
+            "timeline": [{"tick": 0, "module": "b",
+                          "directive": {"type": "set_sharing", "on": True}}],
+        }
+        script = load_scenario(write(tmp_path, "s.json", payload))
+        world = build_world_from_script(script, SimConfig())
+        assert world.modules["b"].sharing_on is False
+        assert world.modules["p"].spec.can_actively_lock is True
+        assert script.timeline[0].directive.on is True
+
 
 class TestRunCommand:
     def test_assembly_builtin(self, tmp_path, capsys):
@@ -161,6 +205,46 @@ class TestRunCommand:
         scenario = write(tmp_path, "s.json", {"builtin": "rescue"})
         assert main(["run", "--scenario", scenario, "--set", "warp_speed=9"]) == 1
         assert main(["run", "--scenario", scenario, "--set", "dt=-1"]) == 1
+
+    @pytest.mark.parametrize("pair", [
+        "dt=nan", "dt=inf", "wireless_range=nan", "idle_draw_w=nan",
+        "per_hop_latency_ticks=1", "bus_tolerance_v=1e-6",
+    ])
+    def test_non_finite_or_removed_override_exits_1(self, tmp_path, capsys, pair):
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        code = main(["run", "--scenario", scenario, "--set", pair,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_non_finite_dt_in_scenario_exits_1(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.json", {
+            "modules": [{"id": "s1", "kind": "scout"}],
+            "timeline": [{"tick": 0, "module": "s1",
+                          "directive": {"type": "wait", "ticks": 3}}],
+            "dt": float("nan"),
+        })
+        code = main(["run", "--scenario", scenario,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "'dt'" in capsys.readouterr().err
+
+    def test_string_false_does_not_turn_sharing_on(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.json", {
+            "modules": [{"id": "b", "kind": "backbone", "sharing": False}],
+            "timeline": [{"tick": 0, "module": "b",
+                          "directive": {"type": "set_sharing", "on": "false"}}],
+        })
+        assert main(["validate", "--scenario", scenario]) == 1
+        code = main(["run", "--scenario", scenario,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert not (tmp_path / "e.jsonl").exists()
 
     def test_timeline_scenario_runs(self, tmp_path):
         scenario = write(tmp_path, "s.json", {

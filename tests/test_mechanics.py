@@ -1,5 +1,6 @@
 """Lift statics, joint timing, organism speed, and posture transitions."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from heterosim.model import (
     Posture,
     World,
     passive_spec,
+    spec_for,
 )
 
 G = 9.81
@@ -162,6 +164,15 @@ class TestOrganismSpeed:
         world.modules["bb1"].off_ground = True
         world.modules["bb2"].off_ground = True
         assert organism_speed(world, world.modules) == 31.0
+
+    def test_carrying_configuration_runs_at_wheel_spec_speed(self):
+        world = carrying_world()
+        slow_wheel = replace(spec_for(ModuleKind.ACTIVE_WHEEL), locomotion_speed_cm_s=20.0)
+        for mid in ("aw1", "aw2"):
+            world.modules[mid].spec = slow_wheel
+        world.modules["bb1"].off_ground = True
+        world.modules["bb2"].off_ground = True
+        assert organism_speed(world, world.modules) == 20.0
 
     def test_ground_mix_runs_at_slowest(self):
         world = carrying_world()
