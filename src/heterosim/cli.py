@@ -88,10 +88,10 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     if not isinstance(script.params, dict):
         raise ValidationError("'params' must be an object")
     if "dt" in raw:
-        script.dt = float(raw["dt"])
-        if not 0 < script.dt < math.inf:
-            raise ValidationError(f"'dt' must be finite and > 0, got {script.dt}")
-    script.max_ticks = int(raw.get("max_ticks", script.max_ticks))
+        script.dt = _json_number(raw["dt"], "'dt'")
+        if script.dt <= 0:
+            raise ValidationError(f"'dt' must be > 0, got {script.dt}")
+    script.max_ticks = _json_int(raw.get("max_ticks", script.max_ticks), "'max_ticks'")
     if script.max_ticks <= 0:
         raise ValidationError("'max_ticks' must be > 0")
     script.shed_policy = raw.get("shed_policy", "halt")
@@ -104,10 +104,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
                 raise ValidationError(f"builtin scenarios do not take {key!r}")
         return script
 
-    script.modules = _validate_modules(raw.get("modules", []))
-    ids_to_spec = {
-        m["id"]: _module_spec_of(m) for m in script.modules
-    }
+    script.modules, ids_to_spec = _validate_modules(raw.get("modules", []))
     script.connections = _validate_connections(raw.get("connections", []), ids_to_spec)
     script.timeline = _validate_timeline(raw.get("timeline", []), ids_to_spec)
     if not script.modules:
@@ -117,14 +114,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 
 def _module_spec_of(entry: dict):
     if entry["kind"] is ModuleKind.PASSIVE:
-        p = entry.get("passive", {})
-        return passive_spec(
-            num_ports=int(p.get("ports", 1)),
-            mass_kg=float(p.get("mass", 1.0)),
-            compute_mips=int(p.get("compute", 0)),
-            energy_wh=float(p.get("energy_wh", 0.0)),
-            can_actively_lock=_json_bool(p.get("can_lock", False), "'can_lock'"),
-        )
+        return passive_spec(**entry["passive"])
     from .model import spec_for
     return spec_for(entry["kind"])
 
@@ -136,11 +126,56 @@ def _json_bool(value: object, what: str) -> bool:
         raise ValidationError(f"{what}: {exc}") from exc
 
 
-def _validate_modules(raw_modules) -> list[dict]:
+def _json_number(value: object, what: str, minimum: float | None = None) -> float:
+    """``value`` as a float if it is a finite JSON number, and not below
+    ``minimum`` when one is given.
+
+    Strings are refused rather than parsed, as ``json_bool`` refuses them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _json_int(value: object, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (not a boolean) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _validate_passive(raw_passive, where: str) -> dict:
+    """Keyword arguments of ``passive_spec`` for a passive block."""
+    if not isinstance(raw_passive, dict):
+        raise ValidationError(f"{where}: 'passive' must be an object")
+    return {
+        "num_ports": _json_int(raw_passive.get("ports", 1), f"{where}: 'ports'", 1),
+        "mass_kg": _json_number(raw_passive.get("mass", 1.0), f"{where}: 'mass'", 0.0),
+        "compute_mips": _json_int(raw_passive.get("compute", 0), f"{where}: 'compute'", 0),
+        "energy_wh": _json_number(raw_passive.get("energy_wh", 0.0),
+                                  f"{where}: 'energy_wh'", 0.0),
+        "can_actively_lock": _json_bool(raw_passive.get("can_lock", False),
+                                        f"{where}: 'can_lock'"),
+    }
+
+
+def _validate_modules(raw_modules) -> tuple[list[dict], dict]:
+    """The validated module entries, and each module's spec by id."""
     if not isinstance(raw_modules, list):
         raise ValidationError("'modules' must be a list")
     seen: set[str] = set()
     modules = []
+    ids_to_spec = {}
     for i, entry in enumerate(raw_modules):
         where = f"modules[{i}]"
         if not isinstance(entry, dict):
@@ -159,23 +194,34 @@ def _validate_modules(raw_modules) -> list[dict]:
         pos = entry.get("pos", [0.0, 0.0])
         if not (isinstance(pos, list) and len(pos) == 2):
             raise ValidationError(f"{where}: 'pos' must be [x, y]")
-        heading = int(entry.get("heading", 0))
+        x, y = (_json_number(c, f"{where}: 'pos'") for c in pos)
+        heading = _json_int(entry.get("heading", 0), f"{where}: 'heading'")
         if heading not in (0, 90, 180, 270):
             raise ValidationError(f"{where}: heading must be 0/90/180/270")
-        soc = float(entry.get("soc", 1.0))
+        soc = _json_number(entry.get("soc", 1.0), f"{where}: 'soc'")
         if not 0.0 <= soc <= 1.0:
             raise ValidationError(f"{where}: soc must be in [0, 1]")
-        modules.append({
+        module = {
             "id": module_id,
             "kind": _KINDS[kind_name],
-            "pos": (float(pos[0]), float(pos[1])),
+            "pos": (x, y),
             "heading": heading,
             "soc": soc,
             "sharing": _json_bool(entry.get("sharing", True), f"{where}: 'sharing'"),
             "fallen_port": entry.get("fallen_port"),
-            "passive": entry.get("passive", {}),
-        })
-    return modules
+        }
+        if module["kind"] is ModuleKind.PASSIVE:
+            module["passive"] = _validate_passive(entry.get("passive", {}), where)
+        spec = _module_spec_of(module)
+        if module["fallen_port"] is not None:
+            fallen = _json_int(module["fallen_port"], f"{where}: 'fallen_port'", 0)
+            if fallen >= spec.num_ports:
+                raise ValidationError(
+                    f"{where}: fallen_port {fallen} invalid for {module_id} "
+                    f"({spec.num_ports} ports)")
+        modules.append(module)
+        ids_to_spec[module_id] = spec
+    return modules, ids_to_spec
 
 
 def _validate_connections(raw_connections, ids_to_spec) -> list[dict]:
@@ -186,11 +232,11 @@ def _validate_connections(raw_connections, ids_to_spec) -> list[dict]:
     for i, entry in enumerate(raw_connections):
         where = f"connections[{i}]"
         try:
-            a, port_a = str(entry["a"]), int(entry["port_a"])
-            b, port_b = str(entry["b"]), int(entry["port_b"])
+            a, port_a = str(entry["a"]), _json_int(entry["port_a"], f"{where}: 'port_a'")
+            b, port_b = str(entry["b"]), _json_int(entry["port_b"], f"{where}: 'port_b'")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{where}: missing field {exc}") from exc
-        orientation = int(entry.get("orientation", 0))
+        orientation = _json_int(entry.get("orientation", 0), f"{where}: 'orientation'")
         for mid, port in ((a, port_a), (b, port_b)):
             if mid not in ids_to_spec:
                 raise ValidationError(f"{where}: unknown module {mid!r}")
@@ -216,7 +262,7 @@ def _validate_timeline(raw_timeline, ids_to_spec) -> list[TimelineEntry]:
     for i, entry in enumerate(raw_timeline):
         where = f"timeline[{i}]"
         try:
-            tick = int(entry["tick"])
+            tick = _json_int(entry["tick"], f"{where}: 'tick'")
             module_id = str(entry["module"])
             directive_raw = entry["directive"]
         except (KeyError, TypeError) as exc:

@@ -199,6 +199,11 @@ class Engine:
                 self._reject(module_id, directive, "CannotMove")
                 return
             members = world.organism_of(module_id)
+            # Motion is the organism's: one member drives it at a time.
+            if any(mid in self.activities and self.activities[mid].kind == "move"
+                   for mid in members):
+                self._reject(module_id, directive, "Busy")
+                return
             speed_cm = mechanics.organism_speed(world, members)
             if speed_cm <= 0:
                 self._reject(module_id, directive, "CannotMove")

@@ -7,10 +7,11 @@ and only while the bus sits above their own open-circuit voltage. Consumer
 loads draw constant power from the node.
 
 The bus voltage is the unique stable operating point: the highest voltage
-at which limited supply meets demand. Supply minus demand is piecewise
-smooth and concave between diode/limiter breakpoints, so the solver scans
-segments from the top of the voltage range and bisects inside the first
-segment that crosses zero.
+at which limited supply meets demand. Between diode/limiter breakpoints
+every source is off, linear or at its limit, so supply minus demand is
+exactly A - B*v - P/v there. The solver scans segments from the top of the
+voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
+first segment that holds one.
 """
 from __future__ import annotations
 
@@ -130,22 +131,13 @@ def solve_bus(
     v_hi = max(s.v_oc for s in suppliers)
     v_lo = min(world.modules[s.module_id].spec.battery.v_empty for s in suppliers)
 
-    def supply(v: float) -> float:
-        return sum(min(max((s.v_oc - v) / s.resistance, 0.0), limit) for s in suppliers)
-
-    def charge_demand(v: float) -> float:
-        return sum(min(max((v - c.v_oc) / c.resistance, 0.0), cap) for c in chargers)
-
-    def balance(v: float) -> float:
-        return supply(v) - total_load_w / v - charge_demand(v)
-
     active_chargers = [c for c in chargers if c.v_oc < v_hi]
     if total_load_w == 0 and not active_chargers:
         # Open circuit: the node floats at the strongest source.
         return _zero_solution(members, states, bus_voltage=v_hi)
 
-    v_star = _largest_root(balance, suppliers, chargers, v_lo, v_hi,
-                           limit, cap, total_load_w)
+    v_star = _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
+                           total_load_w)
     if v_star is None:
         raise InsufficientSupply(
             f"demand {total_load_w:.3f} W exceeds limited supply", members)
@@ -179,9 +171,27 @@ def _zero_solution(members, states, bus_voltage: float) -> BusSolution:
     return solution
 
 
-def _largest_root(balance, suppliers, chargers, v_lo, v_hi, limit, cap,
-                  total_load_w) -> float | None:
-    """Highest voltage in [v_lo, v_hi] where supply meets demand, or None."""
+def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
+                  load_w) -> float | None:
+    """Highest voltage in [v_lo, v_hi] where supply meets demand, or None.
+
+    Each segment between breakpoints is solved in closed form: classifying
+    every source at the segment midpoint gives A (v_oc/R of each linear
+    source, plus the limit of each limited supplier, minus the cap of each
+    capped charger) and B (1/R of each linear source), and the segment's
+    largest root is the larger root of B*v**2 - A*v + P = 0. Rounding can
+    put that root a few ulps above the true one, so it is stepped down one
+    ulp at a time until balance(v) >= 0: the returned voltage never leaves
+    demand short of supply as evaluated here.
+    """
+    def balance(v: float) -> float:
+        supply = sum(min(max((s.v_oc - v) / s.resistance, 0.0), limit) for s in suppliers)
+        charge = sum(min(max((v - c.v_oc) / c.resistance, 0.0), cap) for c in chargers)
+        return supply - load_w / v - charge
+
+    if balance(v_hi) >= 0.0:
+        return v_hi
+
     points = {v_lo, v_hi}
     for s in suppliers:
         points.add(s.v_oc)
@@ -191,57 +201,42 @@ def _largest_root(balance, suppliers, chargers, v_lo, v_hi, limit, cap,
         points.add(c.v_oc + cap * c.resistance)
     breakpoints = sorted(p for p in points if v_lo <= p <= v_hi)
 
-    if balance(v_hi) >= 0.0:
-        return v_hi
-
-    def conducting_slope(v_mid: float) -> float:
-        slope = 0.0
-        for s in suppliers:
-            if 0.0 < (s.v_oc - v_mid) / s.resistance < limit:
-                slope += 1.0 / s.resistance
-        for c in chargers:
-            if 0.0 < (v_mid - c.v_oc) / c.resistance < cap:
-                slope += 1.0 / c.resistance
-        return slope
-
-    # Scan segments from the top; inside each one the balance is concave,
-    # so checking both ends plus the single interior critical point decides
-    # whether the segment crosses zero.
+    # Scan from the top. The balance is negative at the top of each segment
+    # reached, so a segment with B <= 0 (balance rising with v) or without
+    # a real root inside it holds no root either.
     for i in range(len(breakpoints) - 1, 0, -1):
         lo, hi = breakpoints[i - 1], breakpoints[i]
         if hi - lo < 1e-15:
             continue
-        candidates = [lo]
-        slope = conducting_slope((lo + hi) / 2.0)
-        if total_load_w > 0 and slope > 0:
-            v_crit = math.sqrt(total_load_w / slope)
-            if lo < v_crit < hi:
-                candidates.append(v_crit)
-        bracket_lo = None
-        for v in sorted(candidates, reverse=True):
-            if balance(v) >= 0.0:
-                bracket_lo = v
-                break
-        if bracket_lo is None:
-            continue
-        return _bisect(balance, bracket_lo, hi)
-    return None
-
-
-def _bisect(balance, lo: float, hi: float) -> float:
-    """Bisection keeping balance(lo) >= 0 > balance(hi), far past the
-    nominal 1e-6 V tolerance so current mismatch stays below 1e-9 A."""
-    for _ in range(200):
-        if hi - lo <= 1e-13:
-            break
         mid = (lo + hi) / 2.0
-        if mid <= lo or mid >= hi:
-            break
-        if balance(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        a = b = 0.0
+        for s in suppliers:
+            current = (s.v_oc - mid) / s.resistance
+            if current >= limit:
+                a += limit
+            elif current > 0.0:
+                a += s.v_oc / s.resistance
+                b += 1.0 / s.resistance
+        for c in chargers:
+            current = (mid - c.v_oc) / c.resistance
+            if current >= cap:
+                a -= cap
+            elif current > 0.0:
+                a += c.v_oc / c.resistance
+                b += 1.0 / c.resistance
+        disc = a * a - 4.0 * b * load_w
+        if b <= 0.0 or disc < 0.0:
+            continue
+        v = (a + math.sqrt(disc)) / (2.0 * b)
+        if not lo <= v <= hi:
+            continue
+        residual = balance(v)
+        while residual < 0.0 and v > lo:
+            v = math.nextafter(v, lo)
+            residual = balance(v)
+        if residual >= 0.0:
+            return v
+    return None
 
 
 def _attach_port_currents(world: World, solution: BusSolution) -> None:

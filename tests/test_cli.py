@@ -290,6 +290,35 @@ class TestRunCommand:
         assert code == 0
 
 
+SCOUT = {"id": "s", "kind": "scout"}
+
+
+class TestMalformedScalars:
+    """Each probe once ended in a traceback from ``heterosim run`` and
+    ``heterosim validate``; now both exit 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("payload", [
+        {"modules": [SCOUT], "max_ticks": "many"},
+        {"modules": [SCOUT], "dt": "abc"},
+        {"modules": [{**SCOUT, "pos": ["x", 0]}]},
+        {"modules": [{**SCOUT, "fallen_port": 9}]},
+        {"modules": [{**SCOUT, "fallen_port": "1"}]},
+        {"modules": [{"id": "p", "kind": "passive", "passive": {"ports": 0}}]},
+    ], ids=["max_ticks", "dt", "pos", "fallen_port_range", "fallen_port_type",
+            "passive_ports"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
+        argv = [command, "--scenario", write(tmp_path, "s.json", payload)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()
+
+
 class TestOtherCommands:
     def test_validate_ok(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})

@@ -21,6 +21,8 @@ from heterosim.powerbus import (
     step_energy,
     total_available_energy,
     total_stored_energy,
+    _largest_root,
+    _Source,
 )
 
 V_FULL, V_EMPTY, R_INT = 25.2, 19.8, 0.1
@@ -271,6 +273,66 @@ class TestBusInvariants:
                    - solution.charge_current[mid])
             outflow = sum(solution.port_currents[mid])
             assert outflow == pytest.approx(net, abs=1e-9)
+
+
+def source_balance(suppliers, chargers, load_w, v):
+    """Supply and demand at bus voltage v, straight from the source laws."""
+    supply = sum(min(max((v_oc - v) / R_INT, 0.0), LIMIT) for v_oc in suppliers)
+    demand = load_w / v + sum(min(max((v - v_oc) / R_INT, 0.0), CHARGE_CAP)
+                              for v_oc in chargers)
+    return supply, demand
+
+
+def largest_root(suppliers, chargers, load_w):
+    return _largest_root(
+        [_Source(f"s{i}", v_oc, R_INT) for i, v_oc in enumerate(suppliers)],
+        [_Source(f"c{i}", v_oc, R_INT) for i, v_oc in enumerate(chargers)],
+        V_EMPTY, max(suppliers), LIMIT, CHARGE_CAP, load_w)
+
+
+class TestClosedFormRoot:
+    """The segment quadratic lands a few ulps off the root; stepping down
+    to balance >= 0 must always finish inside the segment that holds it."""
+
+    @pytest.mark.parametrize("suppliers, chargers, load_w, expected_v", [
+        # bus_ensemble organisms (seed 1) whose closed-form roots take 4
+        # and 5 one-ulp steps down to balance >= 0.
+        ([25.01399706879262, 25.061461446908282],
+         [21.176054755854548, 21.9028993812, 21.463876587436364,
+          21.354255889854546, 21.312675625254546, 20.625251250763636,
+          21.92773953927273, 20.27964905149091, 21.277035398454547,
+          20.567470883072726],
+         6.0, 24.3253964681),
+        ([24.97249662915354, 25.016954629894148],
+         [21.18360245249824, 21.90875419260472, 21.471526871266256,
+          21.359692193193, 21.320272017129213, 20.63260262671329,
+          21.935555155922405, 20.286877245828617, 21.28461908722548,
+          20.574778933418624],
+         6.0, 24.2823709875),
+    ])
+    def test_bus_ensemble_organisms(self, suppliers, chargers, load_w, expected_v):
+        v = largest_root(suppliers, chargers, load_w)
+        assert v == pytest.approx(expected_v, abs=1e-9)
+        supply, demand = source_balance(suppliers, chargers, load_w, v)
+        assert supply >= demand
+        assert abs(supply - demand) < 1e-9
+
+    def test_exporters_near_their_limit_with_many_chargers(self):
+        # Shaped like bus_ensemble: one or two exporters, nine to eleven
+        # low-charge members recharging. Every draw is solvable, since an
+        # exporter's 8 A covers the load once the bus falls to the chargers.
+        rng = random.Random(2026)
+        for _ in range(3000):
+            suppliers = [open_circuit_voltage(rng.uniform(0.7, 1.0))
+                         for _ in range(rng.choice((1, 1, 2)))]
+            chargers = [open_circuit_voltage(rng.uniform(0.05, 0.4))
+                        for _ in range(rng.randint(9, 11))]
+            load_w = rng.uniform(0.0, 12.0)
+            v = largest_root(suppliers, chargers, load_w)
+            assert v is not None
+            supply, demand = source_balance(suppliers, chargers, load_w, v)
+            assert supply >= demand
+            assert abs(supply - demand) < 1e-9
 
 
 class TestStepEnergy:

@@ -125,6 +125,22 @@ class TestEngineBasics:
         assert any(e.event == "DirectiveRejected" and e.data["reason"] == "Busy"
                    for e in events)
 
+    def test_one_mover_per_organism(self):
+        # Two docked Backbones drive at 6 cm/s whichever member moves them.
+        # A second Move in the same organism is refused; the lower id wins.
+        world = World()
+        world.add_module("a", ModuleKind.BACKBONE)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(world.config.module_pitch, 0.0))
+        world.add_connection(DockConnection("a", 1, "b", 3))
+        engine = Engine(world)
+        events = engine.step([("b", Move(0.06)), ("a", Move(0.06))])
+        assert [e.subjects for e in events if e.event == "MoveStart"] == [("a",)]
+        assert [(e.subjects, e.data["reason"]) for e in events
+                if e.event == "DirectiveRejected"] == [(("b",), "Busy")]
+        for _ in range(20):
+            engine.step()
+        assert world.modules["a"].pose.x == pytest.approx(0.06)
+
     def test_fallen_module_cannot_initiate_motion(self):
         world = World()
         world.add_module("m", ModuleKind.BACKBONE, posture=Posture(fallen_port=3))
