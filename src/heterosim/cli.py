@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +25,9 @@ from .experiments import (
     run_assembly_experiment,
     run_rescue_experiment,
 )
-from .model import DockConnection, ModuleKind, Posture, World, passive_spec
+from .model import UPRIGHT, DockConnection, ModuleKind, Posture, World, passive_spec
 from .scenario import (
+    BUILTIN_PARAMS,
     BUILTIN_SCENARIOS,
     DockWith,
     EventLog,
@@ -37,6 +36,8 @@ from .scenario import (
     Undock,
     directive_from_dict,
     json_bool,
+    json_int,
+    json_number,
 )
 
 ENV_CONFIG = "HETEROSIM_CONFIG"
@@ -50,20 +51,13 @@ class ValidationError(Exception):
     """The scenario file parses but violates the schema."""
 
 
-@dataclass
-class RunConfig:
-    scenario_path: str
-    out_path: str = "events.jsonl"
-    report_path: str = "report.json"
-    overrides: dict = field(default_factory=dict)
-    verbose: bool = False
-
-
-_KINDS = {k.value: k for k in ModuleKind}
-
-
 def load_scenario(path: str | Path) -> ScenarioScript:
-    """Read and fully validate a scenario file."""
+    """Read and validate a scenario file.
+
+    Modules are checked by adding them to a world built with the default
+    config; connections are checked when :func:`build_world_from_script`
+    docks them.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -87,11 +81,17 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     script.params = raw.get("params", {})
     if not isinstance(script.params, dict):
         raise ValidationError("'params' must be an object")
-    if "dt" in raw:
-        script.dt = _json_number(raw["dt"], "'dt'")
-        if script.dt <= 0:
-            raise ValidationError(f"'dt' must be > 0, got {script.dt}")
-    script.max_ticks = _json_int(raw.get("max_ticks", script.max_ticks), "'max_ticks'")
+    try:
+        for key in BUILTIN_PARAMS:
+            if key in script.params:
+                json_number(script.params[key], f"'params': {key!r}")
+        if "dt" in raw:
+            script.dt = json_number(raw["dt"], "'dt'")
+        script.max_ticks = json_int(raw.get("max_ticks", script.max_ticks), "'max_ticks'")
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    if script.dt is not None and script.dt <= 0:
+        raise ValidationError(f"'dt' must be > 0, got {script.dt}")
     if script.max_ticks <= 0:
         raise ValidationError("'max_ticks' must be > 0")
     script.shed_policy = raw.get("shed_policy", "halt")
@@ -104,221 +104,144 @@ def load_scenario(path: str | Path) -> ScenarioScript:
                 raise ValidationError(f"builtin scenarios do not take {key!r}")
         return script
 
-    script.modules, ids_to_spec = _validate_modules(raw.get("modules", []))
-    script.connections = _validate_connections(raw.get("connections", []), ids_to_spec)
-    script.timeline = _validate_timeline(raw.get("timeline", []), ids_to_spec)
+    script.modules = _entries(raw, "modules", _module_kwargs)
     if not script.modules:
         raise ValidationError("scenario defines no modules and no builtin")
+    world = _add_modules(World(SimConfig()), script.modules)
+    script.connections = _entries(raw, "connections", _connection)
+    script.timeline = _validate_timeline(_entries(raw, "timeline", _timeline_entry), world)
     return script
 
 
-def _module_spec_of(entry: dict):
-    if entry["kind"] is ModuleKind.PASSIVE:
-        return passive_spec(**entry["passive"])
-    from .model import spec_for
-    return spec_for(entry["kind"])
+def _entries(raw: dict, key: str, parse) -> list:
+    """``parse`` applied to each object in the list ``raw[key]``; its
+    ``KeyError`` or ``ValueError`` is raised as a :class:`ValidationError`
+    that names the entry."""
+    entries = raw.get(key, [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"{key!r} must be a list")
+    parsed = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{key}[{i}]: must be an object")
+        try:
+            parsed.append(parse(entry))
+        except KeyError as exc:
+            raise ValidationError(f"{key}[{i}]: missing field {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"{key}[{i}]: {exc}") from exc
+    return parsed
 
 
-def _json_bool(value: object, what: str) -> bool:
-    try:
-        return json_bool(value)
-    except ValueError as exc:
-        raise ValidationError(f"{what}: {exc}") from exc
+def _module_kwargs(entry: dict) -> dict:
+    """The keyword arguments of ``World.add_module`` for one module entry.
 
-
-def _json_number(value: object, what: str, minimum: float | None = None) -> float:
-    """``value`` as a float if it is a finite JSON number, and not below
-    ``minimum`` when one is given.
-
-    Strings are refused rather than parsed, as ``json_bool`` refuses them.
+    Only JSON types are checked here; the model's constructors check ranges.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ValidationError(f"{what} must be >= {minimum}, got {value!r}")
-    return number
-
-
-def _json_int(value: object, what: str, minimum: int | None = None) -> int:
-    """``value`` if it is a JSON integer (not a boolean) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{what} must be >= {minimum}, got {value}")
-    return value
-
-
-def _validate_passive(raw_passive, where: str) -> dict:
-    """Keyword arguments of ``passive_spec`` for a passive block."""
-    if not isinstance(raw_passive, dict):
-        raise ValidationError(f"{where}: 'passive' must be an object")
+    pos = entry.get("pos", [0.0, 0.0])
+    if not (isinstance(pos, list) and len(pos) == 2):
+        raise ValueError("'pos' must be [x, y]")
+    kind = ModuleKind(entry["kind"])
+    spec = None
+    if kind is ModuleKind.PASSIVE:
+        passive = entry.get("passive", {})
+        if not isinstance(passive, dict):
+            raise ValueError("'passive' must be an object")
+        spec = passive_spec(
+            num_ports=json_int(passive.get("ports", 1), "'ports'"),
+            mass_kg=json_number(passive.get("mass", 1.0), "'mass'"),
+            compute_mips=json_int(passive.get("compute", 0), "'compute'"),
+            energy_wh=json_number(passive.get("energy_wh", 0.0), "'energy_wh'"),
+            can_actively_lock=json_bool(passive.get("can_lock", False), "'can_lock'"),
+        )
+    fallen_port = entry.get("fallen_port")
     return {
-        "num_ports": _json_int(raw_passive.get("ports", 1), f"{where}: 'ports'", 1),
-        "mass_kg": _json_number(raw_passive.get("mass", 1.0), f"{where}: 'mass'", 0.0),
-        "compute_mips": _json_int(raw_passive.get("compute", 0), f"{where}: 'compute'", 0),
-        "energy_wh": _json_number(raw_passive.get("energy_wh", 0.0),
-                                  f"{where}: 'energy_wh'", 0.0),
-        "can_actively_lock": _json_bool(raw_passive.get("can_lock", False),
-                                        f"{where}: 'can_lock'"),
+        "module_id": str(entry["id"]),
+        "kind": kind,
+        "pos": tuple(json_number(c, "'pos'") for c in pos),
+        "heading_deg": json_int(entry.get("heading", 0), "'heading'"),
+        "soc": json_number(entry.get("soc", 1.0), "'soc'"),
+        "sharing_on": json_bool(entry.get("sharing", True), "'sharing'"),
+        "spec": spec,
+        "posture": UPRIGHT if fallen_port is None
+        else Posture(json_int(fallen_port, "'fallen_port'")),
     }
 
 
-def _validate_modules(raw_modules) -> tuple[list[dict], dict]:
-    """The validated module entries, and each module's spec by id."""
-    if not isinstance(raw_modules, list):
-        raise ValidationError("'modules' must be a list")
-    seen: set[str] = set()
-    modules = []
-    ids_to_spec = {}
-    for i, entry in enumerate(raw_modules):
-        where = f"modules[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: must be an object")
+def _add_modules(world: World, modules: list[dict]) -> World:
+    for i, kwargs in enumerate(modules):
         try:
-            module_id = str(entry["id"])
-            kind_name = str(entry["kind"])
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing field {exc}") from exc
-        if module_id in seen:
-            raise ValidationError(f"{where}: duplicate module id {module_id!r}")
-        seen.add(module_id)
-        if kind_name not in _KINDS:
-            raise ValidationError(
-                f"{where}: unknown kind {kind_name!r}; choices: {sorted(_KINDS)}")
-        pos = entry.get("pos", [0.0, 0.0])
-        if not (isinstance(pos, list) and len(pos) == 2):
-            raise ValidationError(f"{where}: 'pos' must be [x, y]")
-        x, y = (_json_number(c, f"{where}: 'pos'") for c in pos)
-        heading = _json_int(entry.get("heading", 0), f"{where}: 'heading'")
-        if heading not in (0, 90, 180, 270):
-            raise ValidationError(f"{where}: heading must be 0/90/180/270")
-        soc = _json_number(entry.get("soc", 1.0), f"{where}: 'soc'")
-        if not 0.0 <= soc <= 1.0:
-            raise ValidationError(f"{where}: soc must be in [0, 1]")
-        module = {
-            "id": module_id,
-            "kind": _KINDS[kind_name],
-            "pos": (x, y),
-            "heading": heading,
-            "soc": soc,
-            "sharing": _json_bool(entry.get("sharing", True), f"{where}: 'sharing'"),
-            "fallen_port": entry.get("fallen_port"),
-        }
-        if module["kind"] is ModuleKind.PASSIVE:
-            module["passive"] = _validate_passive(entry.get("passive", {}), where)
-        spec = _module_spec_of(module)
-        if module["fallen_port"] is not None:
-            fallen = _json_int(module["fallen_port"], f"{where}: 'fallen_port'", 0)
-            if fallen >= spec.num_ports:
-                raise ValidationError(
-                    f"{where}: fallen_port {fallen} invalid for {module_id} "
-                    f"({spec.num_ports} ports)")
-        modules.append(module)
-        ids_to_spec[module_id] = spec
-    return modules, ids_to_spec
-
-
-def _validate_connections(raw_connections, ids_to_spec) -> list[dict]:
-    if not isinstance(raw_connections, list):
-        raise ValidationError("'connections' must be a list")
-    connections = []
-    used_ports: set[tuple[str, int]] = set()
-    for i, entry in enumerate(raw_connections):
-        where = f"connections[{i}]"
-        try:
-            a, port_a = str(entry["a"]), _json_int(entry["port_a"], f"{where}: 'port_a'")
-            b, port_b = str(entry["b"]), _json_int(entry["port_b"], f"{where}: 'port_b'")
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{where}: missing field {exc}") from exc
-        orientation = _json_int(entry.get("orientation", 0), f"{where}: 'orientation'")
-        for mid, port in ((a, port_a), (b, port_b)):
-            if mid not in ids_to_spec:
-                raise ValidationError(f"{where}: unknown module {mid!r}")
-            if not 0 <= port < ids_to_spec[mid].num_ports:
-                raise ValidationError(
-                    f"{where}: port {port} invalid for {mid} "
-                    f"({ids_to_spec[mid].num_ports} ports)")
-            if (mid, port) in used_ports:
-                raise ValidationError(f"{where}: port {port} of {mid} used twice")
-            used_ports.add((mid, port))
-        if orientation not in (0, 90, 180, 270):
-            raise ValidationError(f"{where}: orientation must be 0/90/180/270")
-        connections.append({"a": a, "port_a": port_a, "b": b, "port_b": port_b,
-                            "orientation": orientation})
-    return connections
-
-
-def _validate_timeline(raw_timeline, ids_to_spec) -> list[TimelineEntry]:
-    if not isinstance(raw_timeline, list):
-        raise ValidationError("'timeline' must be a list")
-    entries = []
-    keys: set[tuple[int, str]] = set()
-    for i, entry in enumerate(raw_timeline):
-        where = f"timeline[{i}]"
-        try:
-            tick = _json_int(entry["tick"], f"{where}: 'tick'")
-            module_id = str(entry["module"])
-            directive_raw = entry["directive"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{where}: missing field {exc}") from exc
-        if tick < 0:
-            raise ValidationError(f"{where}: tick must be >= 0")
-        if module_id not in ids_to_spec:
-            raise ValidationError(f"{where}: unknown module {module_id!r}")
-        if (tick, module_id) in keys:
-            raise ValidationError(
-                f"{where}: duplicate timeline key (tick {tick}, module {module_id!r})")
-        keys.add((tick, module_id))
-        try:
-            directive = directive_from_dict(directive_raw)
+            world.add_module(**kwargs)
         except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        spec = ids_to_spec[module_id]
-        if isinstance(directive, (DockWith, Undock)):
-            own_port = directive.own_port if isinstance(directive, DockWith) else directive.port
-            if not 0 <= own_port < spec.num_ports:
-                raise ValidationError(
-                    f"{where}: port {own_port} invalid for {module_id} "
-                    f"({spec.num_ports} ports)")
+            raise ValidationError(f"modules[{i}]: {exc}") from exc
+    return world
+
+
+def _connection(entry: dict) -> dict:
+    return {"a": str(entry["a"]), "port_a": json_int(entry["port_a"], "'port_a'"),
+            "b": str(entry["b"]), "port_b": json_int(entry["port_b"], "'port_b'"),
+            "orientation": json_int(entry.get("orientation", 0), "'orientation'")}
+
+
+def _timeline_entry(entry: dict) -> TimelineEntry:
+    return TimelineEntry(json_int(entry["tick"], "'tick'"), str(entry["module"]),
+                         directive_from_dict(entry["directive"]))
+
+
+def _validate_timeline(entries: list[TimelineEntry], world: World) -> list[TimelineEntry]:
+    """``entries`` sorted by tick and module, once each names modules and
+    ports that exist and no (tick, module) pair repeats."""
+    keys: set[tuple[int, str]] = set()
+    for i, entry in enumerate(entries):
+        where = f"timeline[{i}]"
+        if entry.tick < 0:
+            raise ValidationError(f"{where}: tick must be >= 0")
+        if entry.module_id not in world.modules:
+            raise ValidationError(f"{where}: unknown module {entry.module_id!r}")
+        if (entry.tick, entry.module_id) in keys:
+            raise ValidationError(
+                f"{where}: duplicate timeline key (tick {entry.tick}, "
+                f"module {entry.module_id!r})")
+        keys.add((entry.tick, entry.module_id))
+        directive = entry.directive
+        if isinstance(directive, Undock):
+            _check_port(world, entry.module_id, directive.port, where)
         if isinstance(directive, DockWith):
-            if directive.peer not in ids_to_spec:
+            if directive.peer not in world.modules:
                 raise ValidationError(f"{where}: unknown peer {directive.peer!r}")
-            peer_spec = ids_to_spec[directive.peer]
-            if not 0 <= directive.peer_port < peer_spec.num_ports:
-                raise ValidationError(
-                    f"{where}: peer port {directive.peer_port} invalid for "
-                    f"{directive.peer} ({peer_spec.num_ports} ports)")
-        entries.append(TimelineEntry(tick, module_id, directive))
-    entries.sort(key=lambda e: (e.tick, e.module_id))
-    return entries
+            _check_port(world, entry.module_id, directive.own_port, where)
+            _check_port(world, directive.peer, directive.peer_port, where)
+    return sorted(entries, key=lambda e: (e.tick, e.module_id))
+
+
+def _check_port(world: World, module_id: str, port: int, where: str) -> None:
+    num_ports = world.modules[module_id].spec.num_ports
+    if not 0 <= port < num_ports:
+        raise ValidationError(
+            f"{where}: port {port} invalid for {module_id} ({num_ports} ports)")
 
 
 def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
-    world = World(config)
-    for m in script.modules:
-        spec = _module_spec_of(m) if m["kind"] is ModuleKind.PASSIVE else None
-        posture = Posture(fallen_port=m["fallen_port"]) if m["fallen_port"] is not None \
-            else Posture()
-        world.add_module(
-            m["id"], m["kind"], pos=m["pos"], heading_deg=m["heading"],
-            soc=m["soc"], sharing_on=m["sharing"], spec=spec, posture=posture)
-    for c in script.connections:
-        reason = can_dock(world, c["a"], c["port_a"], c["b"], c["port_b"],
-                          c["orientation"])
+    """The initial world of a custom scenario: its modules, then its
+    connections, each checked by :func:`can_dock` and for adjacency."""
+    world = _add_modules(World(config), script.modules)
+    limit = config.module_pitch * (1.0 + config.misalignment_tolerance)
+    for i, c in enumerate(script.connections):
+        where = f"connections[{i}]"
+        try:
+            reason = can_dock(world, c["a"], c["port_a"], c["b"], c["port_b"],
+                              c["orientation"])
+        except KeyError as exc:
+            raise ValidationError(f"{where}: unknown module {exc}") from exc
+        except IndexError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
         if reason is not None:
             raise ValidationError(
-                f"connection {c['a']}:{c['port_a']}-{c['b']}:{c['port_b']} "
+                f"{where}: {c['a']}:{c['port_a']}-{c['b']}:{c['port_b']} "
                 f"rejected: {reason.value}")
-        limit = config.module_pitch * (1.0 + config.misalignment_tolerance)
         if world.distance(c["a"], c["b"]) > limit:
             raise ValidationError(
-                f"connection {c['a']}-{c['b']}: modules are not adjacent")
+                f"{where}: {c['a']} and {c['b']} are not adjacent")
         world.add_connection(DockConnection(
             c["a"], c["port_a"], c["b"], c["port_b"], c["orientation"]))
     return world
@@ -343,32 +266,26 @@ def _gather_overrides(set_args: list[str]) -> dict:
     return overrides
 
 
-def run(run_config: RunConfig) -> int:
+def run(scenario_path: str, out_path: str, report_path: str,
+        overrides: dict, verbose: bool) -> int:
     """Execute one scenario; returns the process exit status."""
     try:
-        overrides = dict(run_config.overrides)
-        script = load_scenario(run_config.scenario_path)
+        script = load_scenario(scenario_path)
         config = SimConfig()
         if script.dt is not None:
             config = config.with_overrides({"dt": script.dt})
         config = config.with_overrides(overrides)
-    except (ParseError, ValidationError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         log, report, success = _execute(script, config)
-    except ScenarioError as exc:
+    except (ParseError, ValidationError, ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    Path(run_config.out_path).write_text(log.to_jsonl())
-    Path(run_config.report_path).write_text(report.to_json())
-    if run_config.verbose:
+    Path(out_path).write_text(log.to_jsonl())
+    Path(report_path).write_text(report.to_json())
+    if verbose:
         for record in log.records:
             print(record.to_json())
-    print(f"wrote {run_config.out_path} ({len(log.records)} events) "
-          f"and {run_config.report_path}")
+    print(f"wrote {out_path} ({len(log.records)} events) and {report_path}")
     if not success:
         print("scenario failed", file=sys.stderr)
         return 2
@@ -429,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             script = load_scenario(args.scenario)
             if script.builtin is None:
                 build_world_from_script(script, SimConfig())
-        except (ParseError, ValidationError, ConfigError) as exc:
+        except (ParseError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         what = script.builtin or f"{len(script.modules)} modules"
@@ -441,13 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(RunConfig(
-        scenario_path=args.scenario,
-        out_path=args.out,
-        report_path=args.report,
-        overrides=overrides,
-        verbose=args.verbose,
-    ))
+    return run(args.scenario, args.out, args.report, overrides, args.verbose)
 
 
 if __name__ == "__main__":

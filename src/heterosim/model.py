@@ -38,6 +38,10 @@ class BatteryModel:
     v_empty: float = 19.8
     internal_resistance: float = 0.1  # ohms
 
+    def __post_init__(self) -> None:
+        if self.energy_full_wh < 0:
+            raise ValueError(f"battery energy must be >= 0 Wh, got {self.energy_full_wh}")
+
     def voltage(self, soc: float) -> float:
         if not 0.0 <= soc <= 1.0:
             raise ValueError(f"soc out of range [0, 1]: {soc}")
@@ -77,10 +81,6 @@ class ModuleSpec:
             raise ValueError("module spec fields must be non-negative")
         if self.num_ports < 1:
             raise ValueError("a module has at least one docking port")
-
-    @property
-    def battery_energy_full_wh(self) -> float:
-        return self.battery.energy_full_wh
 
 
 _ACTIVE_MIPS = 3100

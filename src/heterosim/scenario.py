@@ -10,6 +10,7 @@ observation a one-tick delay.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -194,9 +195,6 @@ class ModuleSnapshot:
     def free_ports(self) -> list[int]:
         return [p.index for p in self.ports if p.state == PortState.FREE.value]
 
-    def locked_ports(self) -> list[int]:
-        return [p.index for p in self.ports if p.state == PortState.LOCKED.value]
-
 
 class SensorMemory:
     """Per-module observation snapshots, refreshed once per tick."""
@@ -305,7 +303,7 @@ class ScenarioScript:
     or the name of a built-in experiment."""
 
     builtin: Optional[str] = None
-    modules: list[dict] = field(default_factory=list)
+    modules: list[dict] = field(default_factory=list)  # World.add_module kwargs
     connections: list[dict] = field(default_factory=list)
     timeline: list[TimelineEntry] = field(default_factory=list)
     dt: Optional[float] = None
@@ -314,29 +312,60 @@ class ScenarioScript:
     params: dict = field(default_factory=dict)
 
 
-def json_bool(value: object) -> bool:
+def json_bool(value: object, what: str = "value") -> bool:
     """``value`` if it is a JSON ``true`` or ``false``.
 
     Anything else is refused rather than coerced: ``bool("false")`` is True.
     """
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"{what} must be true or false, got {value!r}")
     return value
 
 
+def json_number(value: object, what: str = "value") -> float:
+    """``value`` as a float if it is a finite JSON number.
+
+    Strings are refused rather than parsed, as :func:`json_bool` refuses
+    them; ``json.loads`` accepts ``NaN`` and ``Infinity``, so those are
+    refused here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def json_int(value: object, what: str = "value") -> int:
+    """``value`` if it is a JSON integer; booleans and ``2.0`` are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+#: Numeric parameters of the built-in experiments.
+BUILTIN_PARAMS = ("wheel_offset_m", "rescuer_distance_m")
+
+
 _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
-    "move": lambda d: Move(float(d["distance"])),
-    "turn": lambda d: Turn(int(d["angle"])),
+    "move": lambda d: Move(json_number(d["distance"], "'distance'")),
+    "turn": lambda d: Turn(json_int(d["angle"], "'angle'")),
     "dock_with": lambda d: DockWith(
-        str(d["peer"]), int(d["own_port"]), int(d["peer_port"]),
-        int(d.get("orientation", 0))),
-    "undock": lambda d: Undock(int(d["port"])),
-    "actuate_joint": lambda d: ActuateJoint(Joint(d["joint"]), float(d["target"])),
-    "set_sharing": lambda d: SetSharing(json_bool(d["on"])),
+        str(d["peer"]), json_int(d["own_port"], "'own_port'"),
+        json_int(d["peer_port"], "'peer_port'"),
+        json_int(d.get("orientation", 0), "'orientation'")),
+    "undock": lambda d: Undock(json_int(d["port"], "'port'")),
+    "actuate_joint": lambda d: ActuateJoint(
+        Joint(d["joint"]), json_number(d["target"], "'target'")),
+    "set_sharing": lambda d: SetSharing(json_bool(d["on"], "'on'")),
     "lift_chain": lambda d: LiftChain(tuple(str(m) for m in d["chain"])),
     "lower_chain": lambda d: LowerChain(),
     "broadcast": lambda d: Broadcast(str(d.get("payload", ""))),
-    "wait": lambda d: Wait(int(d["ticks"])),
+    "wait": lambda d: Wait(json_int(d["ticks"], "'ticks'")),
 }
 
 

@@ -246,6 +246,28 @@ class TestRunCommand:
         assert code == 1
         assert not (tmp_path / "e.jsonl").exists()
 
+    @pytest.mark.parametrize("payload, overrides", [
+        ({"modules": [{"id": "w1", "kind": "active_wheel", "pos": [0, 0]},
+                      {"id": "w2", "kind": "active_wheel", "pos": [0.105, 0]}],
+          "connections": [{"a": "w1", "port_a": 0, "b": "w2", "port_b": 0}]}, []),
+        ({"modules": [{"id": "b1", "kind": "backbone", "pos": [0, 0]},
+                      {"id": "b2", "kind": "backbone", "pos": [0.105, 0]}],
+          "connections": [{"a": "b1", "port_a": 1, "b": "b2", "port_b": 3}],
+          "timeline": [{"tick": 0, "module": "b1",
+                        "directive": {"type": "wait", "ticks": 2}}]},
+         ["--set", "module_pitch=0.05"]),
+    ], ids=["shape_incompatible", "not_adjacent"])
+    def test_rejected_connection_exits_1(self, tmp_path, capsys, payload, overrides):
+        scenario = write(tmp_path, "s.json", payload)
+        code = main(["run", "--scenario", scenario,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json"), *overrides])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "e.jsonl").exists()
+        assert not (tmp_path / "r.json").exists()
+
     def test_timeline_scenario_runs(self, tmp_path):
         scenario = write(tmp_path, "s.json", {
             "modules": [{"id": "s1", "kind": "scout"}],
@@ -291,6 +313,7 @@ class TestRunCommand:
 
 
 SCOUT = {"id": "s", "kind": "scout"}
+TICK0 = {"tick": 0, "module": "s"}
 
 
 class TestMalformedScalars:
@@ -304,8 +327,18 @@ class TestMalformedScalars:
         {"modules": [{**SCOUT, "fallen_port": 9}]},
         {"modules": [{**SCOUT, "fallen_port": "1"}]},
         {"modules": [{"id": "p", "kind": "passive", "passive": {"ports": 0}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "move", "distance": float("nan")}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "move", "distance": "0.1"}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "wait", "ticks": 2.9}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "undock", "port": True}}]},
+        {"builtin": "assembly", "params": {"wheel_offset_m": "x"}},
     ], ids=["max_ticks", "dt", "pos", "fallen_port_range", "fallen_port_type",
-            "passive_ports"])
+            "passive_ports", "move_nan", "move_string", "wait_float",
+            "undock_bool", "builtin_param"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
         argv = [command, "--scenario", write(tmp_path, "s.json", payload)]

@@ -70,6 +70,10 @@ class TestSpecTable:
         assert spec.battery.energy_full_wh == 99.0
         assert spec.can_actively_lock
 
+    def test_passive_energy_must_not_be_negative(self):
+        with pytest.raises(ValueError):
+            passive_spec(energy_wh=-1.0)
+
 
 class TestPose:
     def test_heading_quantized(self):
