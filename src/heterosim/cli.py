@@ -31,6 +31,7 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     DockWith,
     EventLog,
+    LiftChain,
     ScenarioScript,
     TimelineEntry,
     Undock,
@@ -38,6 +39,7 @@ from .scenario import (
     json_bool,
     json_int,
     json_number,
+    json_str,
 )
 
 ENV_CONFIG = "HETEROSIM_CONFIG"
@@ -156,7 +158,7 @@ def _module_kwargs(entry: dict) -> dict:
         )
     fallen_port = entry.get("fallen_port")
     return {
-        "module_id": str(entry["id"]),
+        "module_id": json_str(entry["id"], "'id'"),
         "kind": kind,
         "pos": tuple(json_number(c, "'pos'") for c in pos),
         "heading_deg": json_int(entry.get("heading", 0), "'heading'"),
@@ -178,13 +180,15 @@ def _add_modules(world: World, modules: list[dict]) -> World:
 
 
 def _connection(entry: dict) -> dict:
-    return {"a": str(entry["a"]), "port_a": json_int(entry["port_a"], "'port_a'"),
-            "b": str(entry["b"]), "port_b": json_int(entry["port_b"], "'port_b'"),
+    return {"a": json_str(entry["a"], "'a'"), "b": json_str(entry["b"], "'b'"),
+            "port_a": json_int(entry["port_a"], "'port_a'"),
+            "port_b": json_int(entry["port_b"], "'port_b'"),
             "orientation": json_int(entry.get("orientation", 0), "'orientation'")}
 
 
 def _timeline_entry(entry: dict) -> TimelineEntry:
-    return TimelineEntry(json_int(entry["tick"], "'tick'"), str(entry["module"]),
+    return TimelineEntry(json_int(entry["tick"], "'tick'"),
+                         json_str(entry["module"], "'module'"),
                          directive_from_dict(entry["directive"]))
 
 
@@ -211,6 +215,10 @@ def _validate_timeline(entries: list[TimelineEntry], world: World) -> list[Timel
                 raise ValidationError(f"{where}: unknown peer {directive.peer!r}")
             _check_port(world, entry.module_id, directive.own_port, where)
             _check_port(world, directive.peer, directive.peer_port, where)
+        if isinstance(directive, LiftChain):
+            for member in directive.chain:
+                if member not in world.modules:
+                    raise ValidationError(f"{where}: unknown chain member {member!r}")
     return sorted(entries, key=lambda e: (e.tick, e.module_id))
 
 

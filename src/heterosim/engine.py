@@ -1,9 +1,12 @@
 """Deterministic discrete-time engine.
 
-Every tick runs the same fixed phase order: controller reads, directive
-dispatch, motion integration, docking transitions, the energy step, message
-delivery, sensor refresh, event emission. All contention is broken by
-ascending module id, so identical inputs always produce identical logs.
+Every tick runs the same fixed phase order: (1) controller reads, each
+snapshot built when asked from the world as the previous tick left it;
+(2) directive dispatch; (3) motion integration; (4) docking transitions;
+(5) the energy step; (6) message delivery; (7) sensor refresh, which
+records the busy modules and this tick's inboxes for the next reads;
+(8) event emission. All contention is broken by ascending module id, so
+identical inputs always produce identical logs.
 """
 from __future__ import annotations
 
@@ -122,16 +125,13 @@ class Engine:
         self._driving = set()
         pending: list[tuple[str, Directive]] = []
 
-        # Phase 1: controllers read last tick's sensor snapshot.
+        # Phase 1: controllers read the world as last tick left it.
         def issue(module_id: str, directive: Directive) -> None:
             pending.append((module_id, directive))
 
-        def emit(name: str, subjects, data: dict | None = None) -> None:
-            self.emit(name, subjects, data)
-
         for controller in self.controllers:
             if not controller.done:
-                controller.on_tick(world.tick, self.memory, issue, emit)
+                controller.on_tick(world.tick, self.memory, issue, self.emit)
 
         # Phase 2: dispatch this tick's directives in module id order.
         while (self._timeline_pos < len(self.timeline)
@@ -161,7 +161,7 @@ class Engine:
         self._inboxes = {}
         self._deliver_messages()
 
-        # Phase 7: sensor memory refresh.
+        # Phase 7: record busy modules and inboxes for next tick's reads.
         self.memory.refresh(world, set(self.activities), self._inboxes)
 
         # Phase 8: event emission.
@@ -258,8 +258,6 @@ class Engine:
         elif isinstance(directive, Wait):
             self.activities[module_id] = _Activity(
                 "wait", remaining_s=directive.ticks * self.config.dt)
-        else:
-            self._reject(module_id, directive, "Unsupported")
 
     @staticmethod
     def _joint_angle(state, directive: Directive) -> float:
@@ -371,9 +369,7 @@ class Engine:
     # -- phase 3 ------------------------------------------------------------------
 
     def _integrate(self, module_id: str) -> None:
-        activity = self.activities.get(module_id)
-        if activity is None:
-            return
+        activity = self.activities[module_id]
         world = self.world
         state = world.modules[module_id]
         dt = self.config.dt
@@ -407,9 +403,6 @@ class Engine:
                     "heading_deg": state.pose.heading_deg})
         elif activity.kind == "approach":
             peer = activity.data["peer"]
-            if peer not in world.modules:
-                self._abort_approach(module_id, activity, "BadTarget")
-                return
             distance = world.distance(module_id, peer)
             to_travel = distance - self.config.module_pitch
             if to_travel > _EPS and not activity.data["aligned"]:
@@ -480,9 +473,9 @@ class Engine:
         if port.state in (PortState.APPROACHING, PortState.ALIGNED):
             port.state = PortState.FREE
             port.peer = None
-        peer = activity.data.get("peer")
-        if activity.data.get("aligned") and peer in self.world.modules:
-            peer_port = self.world.modules[peer].ports[activity.data["peer_port"]]
+        if activity.data["aligned"]:
+            peer = self.world.modules[activity.data["peer"]]
+            peer_port = peer.ports[activity.data["peer_port"]]
             if peer_port.state is PortState.ALIGNED:
                 peer_port.state = PortState.FREE
                 peer_port.peer = None
@@ -492,9 +485,7 @@ class Engine:
     # -- phase 4 --------------------------------------------------------------------
 
     def _dock_transition(self, module_id: str) -> None:
-        activity = self.activities.get(module_id)
-        if activity is None:
-            return
+        activity = self.activities[module_id]
         world = self.world
         if activity.kind == "unlock":
             port_index = activity.data["port"]
@@ -517,9 +508,6 @@ class Engine:
         if activity.kind != "approach":
             return
         peer = activity.data["peer"]
-        if peer not in world.modules:
-            self._abort_approach(module_id, activity, "BadTarget")
-            return
         distance = world.distance(module_id, peer)
         limit = self.config.module_pitch * (1.0 + self.config.misalignment_tolerance)
         if not activity.data["aligned"]:

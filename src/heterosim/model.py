@@ -216,10 +216,6 @@ class DockStatus:
     peer: Optional[str] = None              # module id, while approaching/aligned/locked
     connection: Optional["DockConnection"] = None  # set while locked
 
-    @property
-    def occupied(self) -> bool:
-        return self.state in (PortState.APPROACHING, PortState.ALIGNED, PortState.LOCKED)
-
 
 ORIENTATIONS = (0, 90, 180, 270)
 
@@ -269,13 +265,6 @@ class DockConnection:
             return self.module_b
         if module_id == self.module_b:
             return self.module_a
-        raise KeyError(f"{module_id} is not an endpoint of {self.key}")
-
-    def port_of(self, module_id: str) -> int:
-        if module_id == self.module_a:
-            return self.port_a
-        if module_id == self.module_b:
-            return self.port_b
         raise KeyError(f"{module_id} is not an endpoint of {self.key}")
 
 

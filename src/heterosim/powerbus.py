@@ -56,7 +56,6 @@ class BusSolution:
     charge_current: dict[str, float] = field(default_factory=dict)    # A, intake
     load_current: dict[str, float] = field(default_factory=dict)      # A, consumption
     limiter_tripped: dict[str, bool] = field(default_factory=dict)
-    port_currents: dict[str, list[float]] = field(default_factory=dict)  # signed, + = outflow
 
     @property
     def total_supply_a(self) -> float:
@@ -156,7 +155,6 @@ def solve_bus(
     for c in chargers:
         solution.charge_current[c.module_id] = min(
             max((v_star - c.v_oc) / c.resistance, 0.0), cap)
-    _attach_port_currents(world, solution)
     return solution
 
 
@@ -167,7 +165,6 @@ def _zero_solution(members, states, bus_voltage: float) -> BusSolution:
         solution.charge_current[st.module_id] = 0.0
         solution.load_current[st.module_id] = 0.0
         solution.limiter_tripped[st.module_id] = False
-        solution.port_currents[st.module_id] = [0.0] * st.spec.num_ports
     return solution
 
 
@@ -239,16 +236,18 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     return None
 
 
-def _attach_port_currents(world: World, solution: BusSolution) -> None:
-    """Distribute each module's net injection over a spanning tree of the
+def port_currents(world: World, solution: BusSolution) -> dict[str, list[float]]:
+    """Signed current through each port of each member (+ = outflow).
+
+    Each module's net injection is distributed over a spanning tree of the
     organism's docking graph; the single-node model leaves per-port flow
-    free, so this picks the deterministic tree assignment."""
+    free, so this picks the deterministic tree assignment. Nothing in the
+    simulation reads these; they are computed only when asked for.
+    """
     members = solution.organism
-    v = solution.bus_voltage
-    for mid in members:
-        solution.port_currents[mid] = [0.0] * world.modules[mid].spec.num_ports
-    if v <= 0 or len(members) == 1:
-        return
+    currents = {mid: [0.0] * world.modules[mid].spec.num_ports for mid in members}
+    if solution.bus_voltage <= 0 or len(members) == 1:
+        return currents
     member_set = set(members)
     edges = [
         conn for conn in world.connections.values()
@@ -285,9 +284,10 @@ def _attach_port_currents(world: World, solution: BusSolution) -> None:
             continue
         up, parent_port, child_port = link
         flow = subtree[mid]  # surplus flowing from child toward the root
-        solution.port_currents[mid][child_port] += flow
-        solution.port_currents[up][parent_port] -= flow
+        currents[mid][child_port] += flow
+        currents[up][parent_port] -= flow
         subtree[up] += flow
+    return currents
 
 
 def step_energy(world: World, dt: float) -> World:

@@ -3,9 +3,11 @@
 Controllers talk to modules through a small set of common directives; the
 dispatch table maps each one onto the platform's concrete implementation
 (track drive, screw drive, omni drive) and rejects pairs the platform
-cannot perform. Controllers never read the world directly: they see the
-per-module sensor memory, refreshed once per tick, which gives every
-observation a one-tick delay.
+cannot perform. Controllers never read the world directly: they read
+sensor memory, which builds a module's snapshot when asked, from the world
+as it stands at the start of the tick. That gives every observation the
+engine makes a one-tick delay, while a change made to the world from
+outside between two ``step`` calls is seen by the next tick's controllers.
 """
 from __future__ import annotations
 
@@ -197,38 +199,33 @@ class ModuleSnapshot:
 
 
 class SensorMemory:
-    """Per-module observation snapshots, refreshed once per tick."""
+    """Each module's view of the world at the start of the tick.
 
-    def __init__(self) -> None:
-        self.snapshots: dict[str, ModuleSnapshot] = {}
+    ``refresh`` only records the world, the busy modules and the inboxes,
+    which the caller does not change afterwards; ``get`` builds a snapshot
+    from them. Controllers read first in a tick, so the world they see is
+    the one the previous tick left, plus any change made from outside
+    between two ``step`` calls.
+    """
 
     def get(self, module_id: str) -> ModuleSnapshot:
-        return self.snapshots[module_id]
+        st = self._world.modules[module_id]
+        return ModuleSnapshot(
+            module_id=module_id, kind=st.kind, x=st.pose.x, y=st.pose.y,
+            heading_deg=st.pose.heading_deg, fallen_port=st.posture.fallen_port,
+            soc=st.soc, sharing_on=st.sharing_on, off_ground=st.off_ground,
+            busy=module_id in self._busy, joint_bend_deg=st.joint_bend_deg,
+            joint_rotation_deg=st.joint_rotation_deg,
+            ports=tuple(PortView(i, p.state.value, p.peer)
+                        for i, p in enumerate(st.ports)),
+            messages=tuple(self._inboxes.get(module_id, ())),
+        )
 
     def refresh(self, world: World, busy: set[str],
                 inboxes: dict[str, list[ReceivedMessage]]) -> None:
-        snapshots = {}
-        for mid in sorted(world.modules):
-            st = world.modules[mid]
-            snapshots[mid] = ModuleSnapshot(
-                module_id=mid,
-                kind=st.kind,
-                x=st.pose.x,
-                y=st.pose.y,
-                heading_deg=st.pose.heading_deg,
-                fallen_port=st.posture.fallen_port,
-                soc=st.soc,
-                sharing_on=st.sharing_on,
-                off_ground=st.off_ground,
-                busy=mid in busy,
-                joint_bend_deg=st.joint_bend_deg,
-                joint_rotation_deg=st.joint_rotation_deg,
-                ports=tuple(
-                    PortView(i, p.state.value, p.peer) for i, p in enumerate(st.ports)
-                ),
-                messages=tuple(inboxes.get(mid, ())),
-            )
-        self.snapshots = snapshots
+        self._world = world
+        self._busy = busy
+        self._inboxes = inboxes
 
 
 # -- event log ---------------------------------------------------------------
@@ -347,6 +344,21 @@ def json_int(value: object, what: str = "value") -> int:
     return value
 
 
+def json_str(value: object, what: str = "value") -> str:
+    """``value`` if it is a JSON string; numbers, lists and objects are
+    refused rather than passed through ``str()``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _lift_chain(d: dict) -> LiftChain:
+    chain = d["chain"]
+    if not isinstance(chain, list):
+        raise ValueError(f"'chain' must be a list, got {chain!r}")
+    return LiftChain(tuple(json_str(m, "'chain' member") for m in chain))
+
+
 #: Numeric parameters of the built-in experiments.
 BUILTIN_PARAMS = ("wheel_offset_m", "rescuer_distance_m")
 
@@ -355,16 +367,16 @@ _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
     "move": lambda d: Move(json_number(d["distance"], "'distance'")),
     "turn": lambda d: Turn(json_int(d["angle"], "'angle'")),
     "dock_with": lambda d: DockWith(
-        str(d["peer"]), json_int(d["own_port"], "'own_port'"),
+        json_str(d["peer"], "'peer'"), json_int(d["own_port"], "'own_port'"),
         json_int(d["peer_port"], "'peer_port'"),
         json_int(d.get("orientation", 0), "'orientation'")),
     "undock": lambda d: Undock(json_int(d["port"], "'port'")),
     "actuate_joint": lambda d: ActuateJoint(
         Joint(d["joint"]), json_number(d["target"], "'target'")),
     "set_sharing": lambda d: SetSharing(json_bool(d["on"], "'on'")),
-    "lift_chain": lambda d: LiftChain(tuple(str(m) for m in d["chain"])),
+    "lift_chain": _lift_chain,
     "lower_chain": lambda d: LowerChain(),
-    "broadcast": lambda d: Broadcast(str(d.get("payload", ""))),
+    "broadcast": lambda d: Broadcast(json_str(d.get("payload", ""), "'payload'")),
     "wait": lambda d: Wait(json_int(d["ticks"], "'ticks'")),
 }
 

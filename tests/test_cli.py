@@ -336,9 +336,20 @@ class TestMalformedScalars:
         {"modules": [SCOUT], "timeline": [TICK0 | {
             "directive": {"type": "undock", "port": True}}]},
         {"builtin": "assembly", "params": {"wheel_offset_m": "x"}},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "lift_chain", "chain": "bb"}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "lift_chain", "chain": ["zz"]}}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "broadcast", "payload": {"x": 1}}}]},
+        {"modules": [SCOUT, {"id": "5", "kind": "scout", "pos": [0.105, 0]}],
+         "timeline": [TICK0 | {"directive": {
+             "type": "dock_with", "peer": 5, "own_port": 0, "peer_port": 0}}]},
+        {"modules": [{**SCOUT, "id": 5}]},
     ], ids=["max_ticks", "dt", "pos", "fallen_port_range", "fallen_port_type",
             "passive_ports", "move_nan", "move_string", "wait_float",
-            "undock_bool", "builtin_param"])
+            "undock_bool", "builtin_param", "chain_string", "chain_unknown",
+            "payload_object", "peer_number", "id_number"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
         argv = [command, "--scenario", write(tmp_path, "s.json", payload)]

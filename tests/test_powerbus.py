@@ -17,6 +17,7 @@ from heterosim.powerbus import (
     InsufficientSupply,
     NoSupplier,
     open_circuit_voltage,
+    port_currents,
     solve_bus,
     step_energy,
     total_available_energy,
@@ -266,12 +267,12 @@ class TestBusInvariants:
             {"kind": ModuleKind.PASSIVE, "load": 20.0},
         ])
         solution = solve_bus(world)
-        v = solution.bus_voltage
+        currents = port_currents(world, solution)
         for mid in solution.organism:
             net = (solution.supplier_current[mid]
                    - solution.load_current[mid]
                    - solution.charge_current[mid])
-            outflow = sum(solution.port_currents[mid])
+            outflow = sum(currents[mid])
             assert outflow == pytest.approx(net, abs=1e-9)
 
 

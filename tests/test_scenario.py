@@ -1,6 +1,7 @@
 """Directive dispatch, engine phase behavior, sensor delay, determinism."""
 import pytest
 
+from heterosim import scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
 from heterosim.mechanics import Joint
@@ -11,6 +12,7 @@ from heterosim.scenario import (
     DockWith,
     LiftChain,
     Move,
+    ReceivedMessage,
     SetSharing,
     TimelineEntry,
     Turn,
@@ -270,6 +272,107 @@ class TestSensorDelay:
         engine.run()
         assert seen_x[0] == 0.0
         assert seen_x[1] == pytest.approx(0.031)
+
+    @staticmethod
+    def _probe(module_id):
+        """A controller that keeps one module's snapshot of every tick."""
+        class Probe:
+            def __init__(self):
+                self.done = False
+                self.seen = {}
+
+            def on_tick(self, tick, memory, issue, emit):
+                self.seen[tick] = memory.get(module_id)
+
+        return Probe()
+
+    def test_busy_visible_one_tick_later(self):
+        world = World()
+        world.add_module("m", ModuleKind.SCOUT)
+        probe = self._probe("m")
+        engine = Engine(world, controllers=[probe],
+                        timeline=[TimelineEntry(0, "m", Wait(2))])
+        for _ in range(3):
+            engine.step()
+        assert [probe.seen[t].busy for t in range(3)] == [False, True, False]
+
+    def test_broadcast_visible_one_tick_later(self):
+        world = World()
+        world.add_module("a", ModuleKind.SCOUT)
+        world.add_module("b", ModuleKind.SCOUT, pos=(1.0, 0.0))
+        probe = self._probe("b")
+        engine = Engine(world, controllers=[probe],
+                        timeline=[TimelineEntry(0, "a", Broadcast("hi"))])
+        for _ in range(3):
+            engine.step()
+        assert [probe.seen[t].messages for t in range(3)] == [
+            (), (ReceivedMessage("a", "hi"),), ()]
+
+    def test_snapshot_kept_from_a_tick_does_not_change(self):
+        world = World()
+        world.add_module("m", ModuleKind.ACTIVE_WHEEL)
+        probe = self._probe("m")
+        engine = Engine(world, controllers=[probe],
+                        timeline=[TimelineEntry(0, "m", Move(0.31))])
+        engine.step()
+        engine.step()
+        before = repr(probe.seen[1])
+        for _ in range(3):
+            engine.step()
+        assert repr(probe.seen[1]) == before
+        assert probe.seen[1].x < probe.seen[4].x
+
+    def test_mutation_between_steps_seen_by_next_tick(self):
+        world = World()
+        world.add_module("m", ModuleKind.BACKBONE)
+        probe = self._probe("m")
+        engine = Engine(world, controllers=[probe])
+        engine.step()
+        world.modules["m"].set_stored_wh(0.5 * world.modules["m"].stored_wh)
+        engine.step()
+        assert probe.seen[0].soc == pytest.approx(1.0, abs=1e-3)
+        assert probe.seen[1].soc == pytest.approx(0.5, abs=1e-3)
+
+
+class TestSensorSnapshotsBuiltOnDemand:
+    """A snapshot is built only when a controller asks for one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        original = scenario.ModuleSnapshot
+
+        def counting(**fields):
+            built.append(fields["module_id"])
+            return original(**fields)
+
+        monkeypatch.setattr(scenario, "ModuleSnapshot", counting)
+        return built
+
+    @staticmethod
+    def _world():
+        world = World()
+        for i in range(16):
+            world.add_module(f"m{i:02d}", ModuleKind.SCOUT, pos=(i % 4, i // 4))
+        return world
+
+    def test_no_controllers_build_no_snapshots(self, built):
+        engine = Engine(self._world())
+        for _ in range(10):
+            engine.step()
+        assert built == []
+
+    def test_one_read_per_tick_builds_one_snapshot(self, built):
+        class Probe:
+            done = False
+
+            def on_tick(self, tick, memory, issue, emit):
+                memory.get(f"m{tick:02d}")
+
+        engine = Engine(self._world(), controllers=[Probe()])
+        for _ in range(10):
+            engine.step()
+        assert built == [f"m{i:02d}" for i in range(10)]
 
 
 class TestPowerFailurePolicies:
