@@ -7,11 +7,16 @@ snapshot built when asked from the world as the previous tick left it;
 records the busy modules and this tick's inboxes for the next reads;
 (8) event emission. All contention is broken by ascending module id, so
 identical inputs always produce identical logs.
+
+A module runs at most one activity, a small dataclass per kind. An
+approach reserves the initiator's port (approaching -> aligned -> locked);
+the peer's port is only taken at alignment, so two approaches to one port
+are settled there and the later one aborts with ``PortBusy``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
@@ -52,11 +57,53 @@ class Controller(Protocol):
 
 
 @dataclass
-class _Activity:
-    kind: str
-    remaining_s: float = 0.0
-    remaining_m: float = 0.0
-    data: dict = field(default_factory=dict)
+class _Move:
+    remaining_m: float
+
+
+@dataclass
+class _Unlock:
+    port: int
+
+
+@dataclass
+class _Approach:
+    peer: str
+    own_port: int
+    peer_port: int
+    orientation_deg: int
+    handshake_left_s: float
+
+
+@dataclass
+class _Timed:
+    remaining_s: float
+
+
+@dataclass
+class _Turn(_Timed):
+    target_deg: int
+
+
+@dataclass
+class _Actuate(_Timed):
+    joint: Joint
+    target_deg: float
+    start_deg: float
+
+
+@dataclass
+class _Lift(_Timed):
+    chain: tuple[str, ...]
+    angle_deg: float
+
+
+class _Lower(_Timed):
+    pass
+
+
+class _Wait(_Timed):
+    pass  # busy, but draws no drive power
 
 
 class Engine:
@@ -79,7 +126,7 @@ class Engine:
         self.shed_policy = shed_policy
         self.log = EventLog()
         self.memory = SensorMemory()
-        self.activities: dict[str, _Activity] = {}
+        self.activities: dict[str, _Move | _Unlock | _Approach | _Timed] = {}
         self.halted = False
         self._timeline_pos = 0
         self._tick_events: list[Event] = []
@@ -193,50 +240,42 @@ class Engine:
         except UnsupportedDirective:
             self._reject(module_id, directive, "Unsupported")
             return
+        if isinstance(directive, (Move, Turn, DockWith)) \
+                and (not state.posture.upright or state.off_ground):
+            self._reject(module_id, directive, "CannotMove")
+            return
 
         if isinstance(directive, Move):
-            if not state.posture.upright or state.off_ground:
-                self._reject(module_id, directive, "CannotMove")
-                return
             members = world.organism_of(module_id)
             # Motion is the organism's: one member drives it at a time.
-            if any(mid in self.activities and self.activities[mid].kind == "move"
-                   for mid in members):
+            if any(isinstance(self.activities.get(mid), _Move) for mid in members):
                 self._reject(module_id, directive, "Busy")
                 return
             speed_cm = mechanics.organism_speed(world, members)
             if speed_cm <= 0:
                 self._reject(module_id, directive, "CannotMove")
                 return
-            self.activities[module_id] = _Activity(
-                "move", remaining_m=directive.distance_m)
+            self.activities[module_id] = _Move(directive.distance_m)
             self.emit("MoveStart", (module_id,), {
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
                 "implementation": action.implementation})
         elif isinstance(directive, Turn):
-            if not state.posture.upright or state.off_ground:
-                self._reject(module_id, directive, "CannotMove")
-                return
             if any(p.state is PortState.LOCKED for p in state.ports):
                 self._reject(module_id, directive, "CannotMove")
                 return
-            self.activities[module_id] = _Activity(
-                "turn", remaining_s=action.duration_s,
-                data={"target": (state.pose.heading_deg + directive.angle_deg) % 360})
+            self.activities[module_id] = _Turn(
+                action.duration_s, (state.pose.heading_deg + directive.angle_deg) % 360)
             self.emit("TurnStart", (module_id,), {
                 "angle_deg": directive.angle_deg,
                 "implementation": action.implementation})
         elif isinstance(directive, DockWith):
             self._dispatch_dock(module_id, directive, claimed_ports)
         elif isinstance(directive, Undock):
-            if not 0 <= directive.port < state.spec.num_ports:
+            if not 0 <= directive.port < state.spec.num_ports \
+                    or state.ports[directive.port].state is not PortState.LOCKED:
                 self._reject(module_id, directive, "BadTarget")
                 return
-            if state.ports[directive.port].state is not PortState.LOCKED:
-                self._reject(module_id, directive, "BadTarget")
-                return
-            self.activities[module_id] = _Activity(
-                "unlock", data={"port": directive.port})
+            self.activities[module_id] = _Unlock(directive.port)
         elif isinstance(directive, ActuateJoint):
             self._dispatch_actuation(module_id, directive)
         elif isinstance(directive, SetSharing):
@@ -249,15 +288,14 @@ class Engine:
                 self._reject(module_id, directive, "BadTarget")
                 return
             duration = abs(state.joint_bend_deg) / state.spec.actuation_speed_deg_s
-            self.activities[module_id] = _Activity("lower", remaining_s=duration)
+            self.activities[module_id] = _Lower(duration)
             self.emit("LowerStart", (module_id,), {"chain": list(state.lifted_chain)})
         elif isinstance(directive, Broadcast):
             self._pending_broadcasts.append(
                 (module_id, self._broadcast_seq, directive.payload))
             self._broadcast_seq += 1
         elif isinstance(directive, Wait):
-            self.activities[module_id] = _Activity(
-                "wait", remaining_s=directive.ticks * self.config.dt)
+            self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
 
     @staticmethod
     def _joint_angle(state, directive: Directive) -> float:
@@ -270,9 +308,6 @@ class Engine:
                        claimed_ports: set[tuple[str, int]]) -> None:
         world = self.world
         state = world.modules[module_id]
-        if not state.posture.upright or state.off_ground:
-            self._reject(module_id, directive, "CannotMove")
-            return
         if directive.peer not in world.modules:
             self._reject(module_id, directive, "BadTarget")
             return
@@ -301,14 +336,9 @@ class Engine:
         port = state.ports[directive.own_port]
         port.state = PortState.APPROACHING
         port.peer = directive.peer
-        self.activities[module_id] = _Activity("approach", data={
-            "peer": directive.peer,
-            "own_port": directive.own_port,
-            "peer_port": directive.peer_port,
-            "orientation": directive.orientation_deg,
-            "aligned": False,
-            "handshake_left": None,
-        })
+        self.activities[module_id] = _Approach(
+            directive.peer, directive.own_port, directive.peer_port,
+            directive.orientation_deg, self.config.dock_handshake_s)
         self.emit("ApproachStart", (module_id, directive.peer), {
             "own_port": directive.own_port, "peer_port": directive.peer_port,
             "distance_m": distance})
@@ -327,10 +357,8 @@ class Engine:
             self._reject(module_id, directive, "JointLimit")
             return
         start = self._joint_angle(state, directive)
-        self.activities[module_id] = _Activity(
-            "actuate", remaining_s=duration,
-            data={"joint": directive.joint, "target": directive.target_deg,
-                  "start": start})
+        self.activities[module_id] = _Actuate(
+            duration, directive.joint, directive.target_deg, start)
         name = "RotateStart" if directive.joint is Joint.ROTATION else "BendStart"
         self.emit(name, (module_id,), {
             "from_deg": start, "to_deg": directive.target_deg,
@@ -359,9 +387,8 @@ class Engine:
             return
         lift_angle = min(90.0, state.spec.bend_limit_deg)
         duration = abs(lift_angle - state.joint_bend_deg) / state.spec.actuation_speed_deg_s
-        self.activities[module_id] = _Activity(
-            "lift", remaining_s=duration,
-            data={"chain": tuple(directive.chain), "angle": lift_angle})
+        self.activities[module_id] = _Lift(
+            duration, tuple(directive.chain), lift_angle)
         self.emit("LiftStart", (module_id,), {
             "chain": list(directive.chain),
             "required_torque_nm": assessment.required_torque_nm})
@@ -373,7 +400,14 @@ class Engine:
         world = self.world
         state = world.modules[module_id]
         dt = self.config.dt
-        if activity.kind == "move":
+        if isinstance(activity, _Timed):
+            if not isinstance(activity, _Wait):
+                self._driving.add(module_id)
+            activity.remaining_s -= dt
+            if activity.remaining_s <= _EPS:
+                del self.activities[module_id]
+                self._finish(module_id, activity)
+        elif isinstance(activity, _Move):
             members = world.organism_of(module_id)
             speed_cm = mechanics.organism_speed(world, members)
             if speed_cm <= 0:
@@ -393,22 +427,14 @@ class Engine:
             if activity.remaining_m <= _EPS:
                 del self.activities[module_id]
                 self.emit("MoveComplete", (module_id,), {})
-        elif activity.kind == "turn":
-            self._driving.add(module_id)
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                state.pose.heading_deg = activity.data["target"]
-                del self.activities[module_id]
-                self.emit("TurnComplete", (module_id,), {
-                    "heading_deg": state.pose.heading_deg})
-        elif activity.kind == "approach":
-            peer = activity.data["peer"]
-            distance = world.distance(module_id, peer)
+        elif isinstance(activity, _Approach):
+            distance = world.distance(module_id, activity.peer)
             to_travel = distance - self.config.module_pitch
-            if to_travel > _EPS and not activity.data["aligned"]:
+            if to_travel > _EPS \
+                    and state.ports[activity.own_port].state is not PortState.ALIGNED:
                 speed_m = state.spec.locomotion_speed_cm_s / 100.0
                 step = min(speed_m * dt, to_travel)
-                peer_pose = world.modules[peer].pose
+                peer_pose = world.modules[activity.peer].pose
                 norm = max(distance, 1e-12)
                 ux = (peer_pose.x - state.pose.x) / norm
                 uy = (peer_pose.y - state.pose.y) / norm
@@ -418,81 +444,56 @@ class Engine:
                     other.pose.y += uy * step
                     if mechanics.can_drive(other):
                         self._driving.add(mid)
-        elif activity.kind == "actuate":
-            self._driving.add(module_id)
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                joint = activity.data["joint"]
-                target = activity.data["target"]
-                if joint is Joint.BEND:
-                    state.joint_bend_deg = target
-                else:
-                    delta = target - activity.data["start"]
-                    state.joint_rotation_deg = target
-                    for mid in state.lifted_chain:
-                        world.modules[mid].rotation_while_lifted_deg += delta
-                del self.activities[module_id]
-                name = "RotateComplete" if joint is Joint.ROTATION else "BendComplete"
-                self.emit(name, (module_id,), {"angle_deg": target})
-        elif activity.kind == "lift":
-            self._driving.add(module_id)
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                chain = activity.data["chain"]
-                state.joint_bend_deg = activity.data["angle"]
-                state.lifted_chain = chain
-                for mid in chain:
-                    world.modules[mid].off_ground = True
-                    world.modules[mid].rotation_while_lifted_deg = 0.0
-                del self.activities[module_id]
-                self.emit("LiftComplete", (module_id,), {"chain": list(chain)})
-        elif activity.kind == "lower":
-            self._driving.add(module_id)
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                chain = state.lifted_chain
-                state.joint_bend_deg = 0.0
-                for mid in chain:
-                    member = world.modules[mid]
-                    member.off_ground = False
-                    rotated = abs(member.rotation_while_lifted_deg) % 360.0
-                    if not member.posture.upright and abs(rotated - 180.0) < 1e-6:
-                        member.pending_righting = True
-                    member.rotation_while_lifted_deg = 0.0
-                state.lifted_chain = ()
-                del self.activities[module_id]
-                self.emit("LowerComplete", (module_id,), {"chain": list(chain)})
-        elif activity.kind == "wait":
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                del self.activities[module_id]
 
-    def _abort_approach(self, module_id: str, activity: _Activity, reason: str) -> None:
-        state = self.world.modules[module_id]
-        port = state.ports[activity.data["own_port"]]
-        if port.state in (PortState.APPROACHING, PortState.ALIGNED):
-            port.state = PortState.FREE
-            port.peer = None
-        if activity.data["aligned"]:
-            peer = self.world.modules[activity.data["peer"]]
-            peer_port = peer.ports[activity.data["peer_port"]]
-            if peer_port.state is PortState.ALIGNED:
-                peer_port.state = PortState.FREE
-                peer_port.peer = None
-        del self.activities[module_id]
-        self.emit("DockAborted", (module_id,), {"reason": reason})
+    def _finish(self, module_id: str, activity: _Timed) -> None:
+        """Apply the effect of a timed activity whose time has run out."""
+        world = self.world
+        state = world.modules[module_id]
+        if isinstance(activity, _Turn):
+            state.pose.heading_deg = activity.target_deg
+            self.emit("TurnComplete", (module_id,), {
+                "heading_deg": state.pose.heading_deg})
+        elif isinstance(activity, _Actuate):
+            target = activity.target_deg
+            if activity.joint is Joint.BEND:
+                state.joint_bend_deg = target
+            else:
+                delta = target - activity.start_deg
+                state.joint_rotation_deg = target
+                for mid in state.lifted_chain:
+                    world.modules[mid].rotation_while_lifted_deg += delta
+            name = "RotateComplete" if activity.joint is Joint.ROTATION else "BendComplete"
+            self.emit(name, (module_id,), {"angle_deg": target})
+        elif isinstance(activity, _Lift):
+            state.joint_bend_deg = activity.angle_deg
+            state.lifted_chain = activity.chain
+            for mid in activity.chain:
+                world.modules[mid].off_ground = True
+                world.modules[mid].rotation_while_lifted_deg = 0.0
+            self.emit("LiftComplete", (module_id,), {"chain": list(activity.chain)})
+        elif isinstance(activity, _Lower):
+            chain = state.lifted_chain
+            state.joint_bend_deg = 0.0
+            for mid in chain:
+                member = world.modules[mid]
+                member.off_ground = False
+                rotated = abs(member.rotation_while_lifted_deg) % 360.0
+                if not member.posture.upright and abs(rotated - 180.0) < 1e-6:
+                    member.pending_righting = True
+                member.rotation_while_lifted_deg = 0.0
+            state.lifted_chain = ()
+            self.emit("LowerComplete", (module_id,), {"chain": list(chain)})
 
     # -- phase 4 --------------------------------------------------------------------
 
     def _dock_transition(self, module_id: str) -> None:
         activity = self.activities[module_id]
         world = self.world
-        if activity.kind == "unlock":
-            port_index = activity.data["port"]
-            conn = world.connection_at(module_id, port_index)
+        if isinstance(activity, _Unlock):
+            conn = world.connection_at(module_id, activity.port)
             del self.activities[module_id]
             if conn is None:
-                self._reject(module_id, Undock(port_index), "BadTarget")
+                self._reject(module_id, Undock(activity.port), "BadTarget")
                 return
             docking.undock(world, conn)
             self.emit("Undocked", (conn.module_a, conn.module_b), {
@@ -505,43 +506,37 @@ class Engine:
                     member.pending_righting = False
                     self.emit("PostureUpright", (mid,), {})
             return
-        if activity.kind != "approach":
+        if not isinstance(activity, _Approach):
             return
-        peer = activity.data["peer"]
+        peer = activity.peer
         distance = world.distance(module_id, peer)
-        limit = self.config.module_pitch * (1.0 + self.config.misalignment_tolerance)
-        if not activity.data["aligned"]:
+        own_port = world.modules[module_id].ports[activity.own_port]
+        peer_port = world.modules[peer].ports[activity.peer_port]
+        if own_port.state is not PortState.ALIGNED:
+            limit = self.config.module_pitch * (1.0 + self.config.misalignment_tolerance)
             if distance <= limit + _EPS:
                 # The initiator's port is reserved by this very approach;
                 # lift the reservation for the compatibility re-check.
-                own_port = world.modules[module_id].ports[activity.data["own_port"]]
                 own_port.state = PortState.FREE
                 reason = docking.can_dock(
-                    world, module_id, activity.data["own_port"],
-                    peer, activity.data["peer_port"], activity.data["orientation"])
-                own_port.state = PortState.APPROACHING
+                    world, module_id, activity.own_port,
+                    peer, activity.peer_port, activity.orientation_deg)
                 if reason is not None:
-                    self._abort_approach(module_id, activity, reason.value)
+                    own_port.peer = None
+                    del self.activities[module_id]
+                    self.emit("DockAborted", (module_id,), {"reason": reason.value})
                     return
-                activity.data["aligned"] = True
-                activity.data["handshake_left"] = self.config.dock_handshake_s
-                own_port = world.modules[module_id].ports[activity.data["own_port"]]
                 own_port.state = PortState.ALIGNED
-                peer_state = world.modules[peer].ports[activity.data["peer_port"]]
-                if peer_state.state is PortState.FREE:
-                    peer_state.state = PortState.ALIGNED
-                    peer_state.peer = module_id
+                if peer_port.state is PortState.FREE:
+                    peer_port.state = PortState.ALIGNED
+                    peer_port.peer = module_id
                 self.emit("Aligned", (module_id, peer), {
-                    "own_port": activity.data["own_port"],
-                    "peer_port": activity.data["peer_port"]})
+                    "own_port": activity.own_port,
+                    "peer_port": activity.peer_port})
             return
-        activity.data["handshake_left"] -= self.config.dt
-        if activity.data["handshake_left"] > _EPS:
+        activity.handshake_left_s -= self.config.dt
+        if activity.handshake_left_s > _EPS:
             return
-        own_port_index = activity.data["own_port"]
-        peer_port_index = activity.data["peer_port"]
-        own_port = world.modules[module_id].ports[own_port_index]
-        peer_port = world.modules[peer].ports[peer_port_index]
         own_port.state = PortState.FREE
         own_port.peer = None
         if peer_port.state is PortState.ALIGNED:
@@ -549,14 +544,14 @@ class Engine:
             peer_port.peer = None
         del self.activities[module_id]
         try:
-            docking.dock(world, module_id, own_port_index, peer, peer_port_index,
-                         activity.data["orientation"])
+            docking.dock(world, module_id, activity.own_port, peer, activity.peer_port,
+                         activity.orientation_deg)
         except docking.DockingError as exc:
             self.emit("DockAborted", (module_id,), {"reason": str(exc)})
             return
         self.emit("Docked", (module_id, peer), {
-            "own_port": own_port_index, "peer_port": peer_port_index,
-            "orientation_deg": activity.data["orientation"]})
+            "own_port": activity.own_port, "peer_port": activity.peer_port,
+            "orientation_deg": activity.orientation_deg})
 
     # -- phase 5 ---------------------------------------------------------------------
 

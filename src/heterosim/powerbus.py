@@ -94,13 +94,17 @@ def solve_bus(
     demand is the members' load draw plus (when recharging is enabled)
     intake of switched-off members sitting below the bus voltage. Raises
     :class:`NoSupplier` or :class:`InsufficientSupply` when no operating
-    point exists.
+    point exists. ``organism=None`` means the whole world, which must then
+    be one organism: modules that are not docked together share no bus, so
+    any other world raises ``ValueError``.
     """
     cfg = world.config
     if organism is None:
-        members = tuple(sorted(world.modules))
-    else:
-        members = tuple(sorted(organism))
+        components = connected_components(world)
+        if len(components) != 1:
+            raise ValueError(f"organism=None needs a one-organism world, not {len(components)}")
+        organism = components[0]
+    members = tuple(sorted(organism))
     states = [world.modules[mid] for mid in members]
 
     suppliers: list[_Source] = []
@@ -141,13 +145,10 @@ def solve_bus(
         raise InsufficientSupply(
             f"demand {total_load_w:.3f} W exceeds limited supply", members)
 
-    solution = BusSolution(organism=members, bus_voltage=v_star)
-    for st in states:
-        mid = st.module_id
-        solution.load_current[mid] = load_w[mid] / v_star if load_w[mid] > 0 else 0.0
-        solution.supplier_current[mid] = 0.0
-        solution.charge_current[mid] = 0.0
-        solution.limiter_tripped[mid] = False
+    solution = _zero_solution(members, states, bus_voltage=v_star)
+    for mid, watts in load_w.items():
+        if watts > 0:
+            solution.load_current[mid] = watts / v_star
     for s in suppliers:
         current = min(max((s.v_oc - v_star) / s.resistance, 0.0), limit)
         solution.supplier_current[s.module_id] = current

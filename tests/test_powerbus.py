@@ -146,6 +146,22 @@ class TestSolveBusExamples:
         assert solution.supplier_current["m0"] == pytest.approx(LIMIT)
         assert solution.supplier_current["m1"] > 0
 
+    def test_whole_world_solve_needs_one_organism(self):
+        # A lone switched-off module is not on the docked pair's bus, so a
+        # whole-world solve must not let the pair feed its load.
+        world = World()
+        world.add_module("a", ModuleKind.BACKBONE)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(world.config.module_pitch, 0.0))
+        world.add_connection(DockConnection("a", 1, "b", 3))
+        lone = world.add_module("c", ModuleKind.BACKBONE, pos=(1.0, 0.0), sharing_on=False)
+        lone.load_draw_w = 5.0
+        with pytest.raises(ValueError, match="one-organism world"):
+            solve_bus(world)
+        pair = solve_bus(world, ("a", "b"))
+        assert pair.load_current == {"a": 0.0, "b": 0.0}
+        with pytest.raises(NoSupplier):
+            solve_bus(world, ("c",))
+
 
 def bus_case(rng):
     """Random single-organism world plus its plain-data description."""

@@ -5,7 +5,7 @@ from heterosim import scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
 from heterosim.mechanics import Joint
-from heterosim.model import DockConnection, ModuleKind, Posture, World, spec_for
+from heterosim.model import DockConnection, ModuleKind, PortState, Posture, World, spec_for
 from heterosim.scenario import (
     ActuateJoint,
     Broadcast,
@@ -202,6 +202,51 @@ class TestDockingThroughEngine:
         events = engine.step([("aw1", Undock(0))])
         assert any(e.event == "Undocked" for e in events)
         assert not engine.world.connections
+
+    @staticmethod
+    def run_until_abort(engine):
+        for _ in range(100):
+            aborted = [e for e in engine.step() if e.event == "DockAborted"]
+            if aborted:
+                return aborted
+        raise AssertionError("no DockAborted within 100 ticks")
+
+    @staticmethod
+    def assert_free(port):
+        assert port.state is PortState.FREE
+        assert port.peer is None
+
+    def test_second_approacher_aborts_at_alignment(self):
+        # The peer port is taken only at alignment, so a later approacher
+        # to the same port is settled there, and frees only its own port.
+        world = World()
+        world.add_module("p", ModuleKind.BACKBONE, pos=(0.0, 0.0))
+        world.add_module("w", ModuleKind.ACTIVE_WHEEL, pos=(0.6, 0.0))
+        world.add_module("s", ModuleKind.SCOUT, pos=(-0.3, 0.0))
+        engine = Engine(world, timeline=[
+            TimelineEntry(0, "w", DockWith("p", 0, 1)),
+            TimelineEntry(1, "s", DockWith("p", 0, 1))])
+        aborted = self.run_until_abort(engine)
+        assert [(e.subjects, e.data["reason"]) for e in aborted] == [(("s",), "PortBusy")]
+        assert "s" not in engine.activities
+        self.assert_free(world.modules["s"].ports[0])
+        held = world.modules["p"].ports[1]
+        assert (held.state, held.peer) == (PortState.ALIGNED, "w")
+
+    def test_peer_moving_away_during_handshake_aborts_the_lock(self):
+        world = World()
+        world.add_module("b", ModuleKind.BACKBONE, pos=(0.0, 0.0), heading_deg=180)
+        world.add_module("c", ModuleKind.SCOUT, pos=(0.3, 0.0))
+        engine = Engine(world, timeline=[
+            TimelineEntry(0, "c", DockWith("b", 0, 1)),
+            TimelineEntry(20, "b", Move(0.3))])
+        aborted = self.run_until_abort(engine)
+        assert [e.subjects for e in aborted] == [("c",)]
+        assert aborted[0].data["reason"].startswith("modules ")
+        assert "c" not in engine.activities
+        assert not world.connections
+        self.assert_free(world.modules["c"].ports[0])
+        self.assert_free(world.modules["b"].ports[1])
 
 
 class TestTimelineAndDeterminism:
