@@ -8,7 +8,8 @@ records the busy modules and this tick's inboxes for the next reads;
 (8) event emission. All contention is broken by ascending module id, so
 identical inputs always produce identical logs.
 
-A module runs at most one activity, a small dataclass per kind. An
+A module runs at most one activity, a small dataclass per kind, and an
+organism at most one move or approach, at its ground speed. An
 approach reserves the initiator's port (approaching -> aligned -> locked);
 the peer's port is only taken at alignment, so two approaches to one port
 are settled there and the later one aborts with ``PortBusy``.
@@ -247,8 +248,7 @@ class Engine:
 
         if isinstance(directive, Move):
             members = world.organism_of(module_id)
-            # Motion is the organism's: one member drives it at a time.
-            if any(isinstance(self.activities.get(mid), _Move) for mid in members):
+            if self._in_motion(members):
                 self._reject(module_id, directive, "Busy")
                 return
             speed_cm = mechanics.organism_speed(world, members)
@@ -297,6 +297,11 @@ class Engine:
         elif isinstance(directive, Wait):
             self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
 
+    def _in_motion(self, members: tuple[str, ...]) -> bool:
+        """Motion is the organism's: one member moves or approaches at a time."""
+        return any(isinstance(self.activities.get(mid), (_Move, _Approach))
+                   for mid in members)
+
     @staticmethod
     def _joint_angle(state, directive: Directive) -> float:
         if isinstance(directive, ActuateJoint):
@@ -308,6 +313,9 @@ class Engine:
                        claimed_ports: set[tuple[str, int]]) -> None:
         world = self.world
         state = world.modules[module_id]
+        if self._in_motion(world.organism_of(module_id)):
+            self._reject(module_id, directive, "Busy")
+            return
         if directive.peer not in world.modules:
             self._reject(module_id, directive, "BadTarget")
             return
@@ -432,13 +440,17 @@ class Engine:
             to_travel = distance - self.config.module_pitch
             if to_travel > _EPS \
                     and state.ports[activity.own_port].state is not PortState.ALIGNED:
-                speed_m = state.spec.locomotion_speed_cm_s / 100.0
-                step = min(speed_m * dt, to_travel)
+                members = world.organism_of(module_id)
+                speed_cm = mechanics.organism_speed(world, members)
+                if speed_cm <= 0:
+                    self._abort_approach(module_id, activity, "CannotMove")
+                    return
+                step = min(speed_cm / 100.0 * dt, to_travel)
                 peer_pose = world.modules[activity.peer].pose
                 norm = max(distance, 1e-12)
                 ux = (peer_pose.x - state.pose.x) / norm
                 uy = (peer_pose.y - state.pose.y) / norm
-                for mid in world.organism_of(module_id):
+                for mid in members:
                     other = world.modules[mid]
                     other.pose.x += ux * step
                     other.pose.y += uy * step
@@ -522,9 +534,7 @@ class Engine:
                     world, module_id, activity.own_port,
                     peer, activity.peer_port, activity.orientation_deg)
                 if reason is not None:
-                    own_port.peer = None
-                    del self.activities[module_id]
-                    self.emit("DockAborted", (module_id,), {"reason": reason.value})
+                    self._abort_approach(module_id, activity, reason.value)
                     return
                 own_port.state = PortState.ALIGNED
                 if peer_port.state is PortState.FREE:
@@ -552,6 +562,14 @@ class Engine:
         self.emit("Docked", (module_id, peer), {
             "own_port": activity.own_port, "peer_port": activity.peer_port,
             "orientation_deg": activity.orientation_deg})
+
+    def _abort_approach(self, module_id: str, activity: _Approach, reason: str) -> None:
+        """End an approach before alignment and free the initiator's port."""
+        port = self.world.modules[module_id].ports[activity.own_port]
+        port.state = PortState.FREE
+        port.peer = None
+        del self.activities[module_id]
+        self.emit("DockAborted", (module_id,), {"reason": reason})
 
     # -- phase 5 ---------------------------------------------------------------------
 

@@ -318,11 +318,18 @@ class ModuleState:
         return self.soc > 0.0
 
 
+#: The organisms sorted by smallest member, and each member's organism.
+_Organisms = tuple[list[tuple[str, ...]], dict[str, tuple[str, ...]]]
+
+
 class World:
     """All modules plus their docked connections at one instant.
 
     A world is owned by exactly one simulation run; every mutator works in
-    place and returns the world for chaining.
+    place and returns the world for chaining. The organisms are cached and
+    rebuilt on the first query after ``add_module``, ``add_connection`` or
+    ``remove_connection``, so ``modules`` and ``connections`` must only be
+    changed through those.
     """
 
     def __init__(self, config: SimConfig | None = None):
@@ -336,6 +343,8 @@ class World:
         # Only the wireless loss hook draws from this; with the default
         # drop probability of 0 no randomness is consumed at all.
         self.rng = random.Random(self.config.random_seed)
+        # None until queried after the last topology mutation.
+        self._organisms: Optional[_Organisms] = None
 
     # -- construction -----------------------------------------------------
 
@@ -372,6 +381,7 @@ class World:
             state.posture = posture
             state.ports[posture.fallen_port].state = PortState.DISABLED
         self.modules[module_id] = state
+        self._organisms = None
         return state
 
     # -- connection bookkeeping -------------------------------------------
@@ -384,6 +394,7 @@ class World:
         if conn.key in self.connections:
             raise ValueError(f"duplicate connection {conn.key}")
         self.connections[conn.key] = conn
+        self._organisms = None
         for mid, port in conn.endpoints():
             status = self.modules[mid].ports[port]
             status.state = PortState.LOCKED
@@ -392,6 +403,7 @@ class World:
 
     def remove_connection(self, key: tuple[str, int, str, int]) -> DockConnection:
         conn = self.connections.pop(key)
+        self._organisms = None
         for mid, port in conn.endpoints():
             status = self.modules[mid].ports[port]
             status.state = PortState.FREE
@@ -415,18 +427,33 @@ class World:
         return adj
 
     def organism_of(self, module_id: str) -> tuple[str, ...]:
-        if module_id not in self.modules:
-            raise KeyError(module_id)
-        adj = self.adjacency()
-        seen = {module_id}
-        frontier = [module_id]
-        while frontier:
-            current = frontier.pop()
-            for nxt in adj[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(seen))
+        return self._index()[1][module_id]  # KeyError for an unknown module
+
+    def _index(self) -> _Organisms:
+        """The cached organisms and member map, rebuilt if a mutator ran."""
+        if self._organisms is None:
+            adj = self.adjacency()
+            organism: dict[str, tuple[str, ...]] = {}
+            components: list[tuple[str, ...]] = []
+            # Each walk starts at the smallest id not yet placed, which is
+            # its organism's smallest member: the list comes out sorted.
+            for start in sorted(self.modules):
+                if start in organism:
+                    continue
+                group = {start}
+                frontier = [start]
+                while frontier:
+                    current = frontier.pop()
+                    for nxt in adj[current]:
+                        if nxt not in group:
+                            group.add(nxt)
+                            frontier.append(nxt)
+                members = tuple(sorted(group))
+                for mid in members:
+                    organism[mid] = members
+                components.append(members)
+            self._organisms = (components, organism)
+        return self._organisms
 
     def distance(self, a: str, b: str) -> float:
         pa, pb = self.modules[a].pose, self.modules[b].pose
@@ -447,26 +474,9 @@ def connected_components(world: World) -> list[tuple[str, ...]]:
 
     Every module appears in exactly one component; a lone module is a
     singleton organism. Components are sorted by their smallest member id,
-    members sorted within each component.
+    members sorted within each component. The list is the caller's own.
     """
-    adj = world.adjacency()
-    seen: set[str] = set()
-    components: list[tuple[str, ...]] = []
-    for start in sorted(world.modules):
-        if start in seen:
-            continue
-        group = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for nxt in adj[current]:
-                if nxt not in group:
-                    group.add(nxt)
-                    frontier.append(nxt)
-        seen |= group
-        components.append(tuple(sorted(group)))
-    components.sort(key=lambda members: members[0])
-    return components
+    return list(world._index()[0])
 
 
 def total_compute(world: World, organism: Iterable[str]) -> int:

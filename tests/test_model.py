@@ -169,6 +169,52 @@ class TestConnectedComponents:
         assert all(after[m] <= before[m] for m in world.modules)
 
 
+class TestOrganismCache:
+    """Organisms are cached on the world and dropped by every topology mutator."""
+
+    def test_never_stale_under_random_mutations(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            world = World()
+            free_ports = {}
+            for _ in range(40):
+                roll = rng.random()
+                if len(world.modules) < 2 or roll < 0.25:
+                    mid = f"m{len(world.modules):02d}"
+                    world.add_module(mid, ModuleKind.BACKBONE)
+                    free_ports[mid] = [0, 1, 2, 3]
+                elif roll < 0.7:
+                    a, b = rng.sample(sorted(world.modules), 2)
+                    if not free_ports[a] or not free_ports[b]:
+                        continue
+                    port_a = free_ports[a].pop(rng.randrange(len(free_ports[a])))
+                    port_b = free_ports[b].pop(rng.randrange(len(free_ports[b])))
+                    world.add_connection(DockConnection(a, port_a, b, port_b))
+                elif world.connections:
+                    conn = world.remove_connection(rng.choice(sorted(world.connections)))
+                    for mid, port in conn.endpoints():
+                        free_ports[mid].append(port)
+                else:
+                    continue
+                expected = _union_find_components(world)
+                assert connected_components(world) == expected
+                for members in expected:
+                    for mid in members:
+                        assert world.organism_of(mid) == members
+
+    def test_returned_list_is_the_callers(self):
+        world = chain_world(3)
+        world.add_module("x", ModuleKind.SCOUT, pos=(1, 1))
+        comps = connected_components(world)
+        comps.pop(0)
+        comps.append(("zz",))
+        assert connected_components(world) == [("m0", "m1", "m2"), ("x",)]
+
+    def test_unknown_module_raises(self):
+        with pytest.raises(KeyError):
+            chain_world(2).organism_of("nope")
+
+
 def _component_of(world, mid):
     for comp in connected_components(world):
         if mid in comp:

@@ -4,7 +4,7 @@ import pytest
 from heterosim import scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
-from heterosim.mechanics import Joint
+from heterosim.mechanics import Joint, set_posture
 from heterosim.model import DockConnection, ModuleKind, PortState, Posture, World, spec_for
 from heterosim.scenario import (
     ActuateJoint,
@@ -143,6 +143,24 @@ class TestEngineBasics:
             engine.step()
         assert world.modules["a"].pose.x == pytest.approx(0.06)
 
+    @pytest.mark.parametrize("mover,approacher", [("b", "a"), ("a", "b")])
+    def test_one_motion_per_organism_with_an_approach(self, mover, approacher):
+        # An approach moves the initiator's whole organism, so it excludes a
+        # Move by another member, and the other way round; the lower id wins.
+        world = World()
+        world.add_module("a", ModuleKind.BACKBONE)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(world.config.module_pitch, 0.0))
+        world.add_module("s", ModuleKind.SCOUT, pos=(1.2, 0.0))
+        world.add_connection(DockConnection("a", 1, "b", 3))
+        engine = Engine(world)
+        events = engine.step([(mover, Move(0.5)), (approacher, DockWith("s", 0, 2))])
+        assert [(e.subjects, e.data["reason"]) for e in events
+                if e.event == "DirectiveRejected"] == [(("b",), "Busy")]
+        for _ in range(4):
+            engine.step()
+        # One 6 cm/s driver for 5 ticks.
+        assert world.modules["a"].pose.x == pytest.approx(0.03)
+
     def test_fallen_module_cannot_initiate_motion(self):
         world = World()
         world.add_module("m", ModuleKind.BACKBONE, posture=Posture(fallen_port=3))
@@ -247,6 +265,36 @@ class TestDockingThroughEngine:
         assert not world.connections
         self.assert_free(world.modules["c"].ports[0])
         self.assert_free(world.modules["b"].ports[1])
+
+    def test_approach_runs_at_the_organism_speed(self):
+        # A Scout docked to a Backbone drags it at 6 cm/s, not 12.5 cm/s.
+        world = World()
+        world.add_module("s", ModuleKind.SCOUT)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(world.config.module_pitch, 0.0))
+        world.add_module("t", ModuleKind.BACKBONE, pos=(-1.0, 0.0))
+        world.add_connection(DockConnection("s", 1, "b", 3))
+        engine = Engine(world)
+        engine.step([("s", DockWith("t", 3, 1))])
+        for _ in range(9):
+            engine.step()
+        assert world.modules["s"].pose.x == pytest.approx(-0.06)
+        assert world.modules["b"].pose.x == pytest.approx(world.config.module_pitch - 0.06)
+
+    def test_approach_aborts_when_the_organism_cannot_move(self):
+        world = World()
+        world.add_module("a", ModuleKind.BACKBONE)
+        world.add_module("t", ModuleKind.BACKBONE, pos=(1.0, 0.0))
+        engine = Engine(world)
+        engine.step([("a", DockWith("t", 1, 3))])
+        engine.step()
+        set_posture(world, "a", Posture(fallen_port=3))
+        x = world.modules["a"].pose.x
+        events = engine.step()
+        assert [(e.subjects, e.data) for e in events if e.event == "DockAborted"] == [
+            (("a",), {"reason": "CannotMove"})]
+        assert "a" not in engine.activities
+        assert world.modules["a"].pose.x == x
+        self.assert_free(world.modules["a"].ports[1])
 
 
 class TestTimelineAndDeterminism:
@@ -418,6 +466,50 @@ class TestSensorSnapshotsBuiltOnDemand:
         for _ in range(10):
             engine.step()
         assert built == [f"m{i:02d}" for i in range(10)]
+
+
+class TestMovingTickTopology:
+    """Organisms are built once per topology change, not once per mover."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = World.adjacency
+
+        def counting(self):
+            calls.append(None)
+            return original(self)
+
+        monkeypatch.setattr(World, "adjacency", counting)
+        return calls
+
+    @staticmethod
+    def _ten_moving_ticks(n):
+        """N modules in 4-module organisms, one mover in each."""
+        world = World()
+        pitch = world.config.module_pitch
+        kinds = (ModuleKind.ACTIVE_WHEEL, ModuleKind.BACKBONE,
+                 ModuleKind.BACKBONE, ModuleKind.ACTIVE_WHEEL)
+        timeline = []
+        for o in range(n // 4):
+            ids = [f"o{o:03d}m{k}" for k in range(4)]
+            for k, (mid, kind) in enumerate(zip(ids, kinds)):
+                world.add_module(mid, kind, pos=(k * pitch, 2 * o * pitch))
+            world.add_connection(DockConnection(ids[0], 0, ids[1], 3))
+            world.add_connection(DockConnection(ids[1], 1, ids[2], 3))
+            world.add_connection(DockConnection(ids[2], 1, ids[3], 0))
+            timeline.append(TimelineEntry(0, ids[1], Move(1.0)))
+        engine = Engine(world, timeline=timeline)
+        for _ in range(10):
+            engine.step()
+        assert len(engine.activities) == n // 4
+
+    def test_adjacency_calls_do_not_grow_with_the_world(self, calls):
+        self._ten_moving_ticks(16)
+        small = len(calls)
+        calls.clear()
+        self._ten_moving_ticks(256)
+        assert len(calls) == small
 
 
 class TestPowerFailurePolicies:
