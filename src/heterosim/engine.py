@@ -581,24 +581,26 @@ class Engine:
             if mid in self._driving:
                 draw += self.config.drive_draw_w
             state.load_draw_w = draw if state.alive else 0.0
-        for attempt in range(3):
+        shed: set[tuple[str, ...]] = set()  # shed once each; failing again halts
+        while True:
             try:
                 powerbus.step_energy(world, self.config.dt)
                 return
             except powerbus.PowerBusError as exc:
-                if self.shed_policy == "shed":
-                    self.emit("BrownOut", tuple(exc.organism), {
-                        "error": type(exc).__name__})
+                if self.shed_policy == "shed" and exc.organism not in shed:
+                    shed.add(exc.organism)
+                    self.emit("BrownOut", exc.organism, {"error": type(exc).__name__})
                     for mid in exc.organism:
                         world.modules[mid].load_draw_w = 0.0
                     continue
-                self.emit("FatalEvent", tuple(exc.organism), {
-                    "error": type(exc).__name__, "detail": str(exc)})
+                if self.shed_policy == "shed":
+                    self.emit("FatalEvent", (), {"error": "PowerBusError",
+                                                 "detail": "load shedding failed"})
+                else:
+                    self.emit("FatalEvent", exc.organism, {
+                        "error": type(exc).__name__, "detail": str(exc)})
                 self.halted = True
                 return
-        self.emit("FatalEvent", (), {"error": "PowerBusError",
-                                     "detail": "load shedding failed"})
-        self.halted = True
 
     # -- phase 6 ---------------------------------------------------------------------
 

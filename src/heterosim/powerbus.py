@@ -12,6 +12,11 @@ every source is off, linear or at its limit, so supply minus demand is
 exactly A - B*v - P/v there. The solver scans segments from the top of the
 voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
 first segment that holds one.
+
+A solve is one pass over the members, then that scan. Its floats are pinned
+bit for bit by a digest in the tests, so every sum stays a ``sum()`` call:
+Python 3.12 made ``sum()`` of floats compensated, and a hand-written loop
+would round differently there.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .model import (
     BatteryModel,
-    ModuleState,
     STANDARD_BATTERY,
     World,
     connected_components,
@@ -66,21 +70,6 @@ class BusSolution:
         return sum(self.load_current.values()) + sum(self.charge_current.values())
 
 
-@dataclass(frozen=True)
-class _Source:
-    module_id: str
-    v_oc: float
-    resistance: float
-
-
-def _effective_load_w(state: ModuleState) -> float:
-    # A drained pack takes the module down; battery-less blocks stay on the bus.
-    cap = state.spec.battery.energy_full_wh
-    if cap > 0 and state.soc <= 0.0:
-        return 0.0
-    return max(0.0, state.load_draw_w)
-
-
 def solve_bus(
     world: World,
     organism: tuple[str, ...] | None = None,
@@ -105,68 +94,69 @@ def solve_bus(
             raise ValueError(f"organism=None needs a one-organism world, not {len(components)}")
         organism = components[0]
     members = tuple(sorted(organism))
-    states = [world.modules[mid] for mid in members]
 
-    suppliers: list[_Source] = []
-    chargers: list[_Source] = []
-    for st in states:
+    # Sources are (module id, open-circuit voltage, internal resistance).
+    suppliers: list[tuple[str, float, float]] = []
+    chargers: list[tuple[str, float, float]] = []
+    loads: list[float] = []
+    v_lo, v_hi = math.inf, -math.inf
+    for mid in members:
+        st = world.modules[mid]
         battery = st.spec.battery
-        if battery.energy_full_wh <= 0:
+        full = battery.energy_full_wh
+        # A drained pack takes the module down; battery-less blocks stay on the bus.
+        watts = st.load_draw_w
+        loads.append(watts if watts > 0.0 and (full <= 0 or st.soc > 0.0) else 0.0)
+        if full <= 0:
             continue
+        stored = st.stored_wh
         if st.sharing_on:
-            if st.stored_wh > 0 and st.stored_wh >= min_supplier_stored_wh:
-                suppliers.append(_Source(st.module_id, battery.voltage(st.soc), battery.internal_resistance))
-        elif cfg.recharge_enabled:
-            if st.stored_wh <= battery.energy_full_wh - charge_headroom_wh:
-                chargers.append(_Source(st.module_id, battery.voltage(st.soc), battery.internal_resistance))
-
-    load_w = {st.module_id: _effective_load_w(st) for st in states}
-    total_load_w = sum(load_w.values())
+            if stored > 0 and stored >= min_supplier_stored_wh:
+                v_oc = battery.voltage(st.soc)
+                v_hi = max(v_hi, v_oc)
+                v_lo = min(v_lo, battery.v_empty)
+                suppliers.append((mid, v_oc, battery.internal_resistance))
+        elif cfg.recharge_enabled and stored <= full - charge_headroom_wh:
+            chargers.append((mid, battery.voltage(st.soc), battery.internal_resistance))
+    total_load_w = sum(loads)
 
     if not suppliers:
         if total_load_w > 0:
             raise NoSupplier(
                 f"demand {total_load_w:.3f} W with no exporting module", members)
-        return _zero_solution(members, states, bus_voltage=0.0)
+        return _zero_solution(members, 0.0)
+    if total_load_w / v_hi == 0.0 and all(v_oc >= v_hi for _, v_oc, _ in chargers):
+        # Open circuit: no charger sits below the strongest source and the
+        # load draws no current there (not even rounded), so the node floats.
+        return _zero_solution(members, v_hi)
 
     limit = cfg.current_limit_a
     cap = cfg.recharge_max_a
-    v_hi = max(s.v_oc for s in suppliers)
-    v_lo = min(world.modules[s.module_id].spec.battery.v_empty for s in suppliers)
-
-    active_chargers = [c for c in chargers if c.v_oc < v_hi]
-    if total_load_w == 0 and not active_chargers:
-        # Open circuit: the node floats at the strongest source.
-        return _zero_solution(members, states, bus_voltage=v_hi)
-
     v_star = _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
                            total_load_w)
     if v_star is None:
         raise InsufficientSupply(
             f"demand {total_load_w:.3f} W exceeds limited supply", members)
 
-    solution = _zero_solution(members, states, bus_voltage=v_star)
-    for mid, watts in load_w.items():
+    solution = _zero_solution(members, v_star)
+    for mid, watts in zip(members, loads):
         if watts > 0:
             solution.load_current[mid] = watts / v_star
-    for s in suppliers:
-        current = min(max((s.v_oc - v_star) / s.resistance, 0.0), limit)
-        solution.supplier_current[s.module_id] = current
-        solution.limiter_tripped[s.module_id] = current >= limit - 1e-12
-    for c in chargers:
-        solution.charge_current[c.module_id] = min(
-            max((v_star - c.v_oc) / c.resistance, 0.0), cap)
+    for mid, v_oc, r in suppliers:
+        x = (v_oc - v_star) / r
+        current = limit if x > limit else 0.0 if x < 0.0 else x
+        solution.supplier_current[mid] = current
+        solution.limiter_tripped[mid] = current >= limit - 1e-12
+    for mid, v_oc, r in chargers:
+        x = (v_star - v_oc) / r
+        solution.charge_current[mid] = cap if x > cap else 0.0 if x < 0.0 else x
     return solution
 
 
-def _zero_solution(members, states, bus_voltage: float) -> BusSolution:
-    solution = BusSolution(organism=members, bus_voltage=bus_voltage)
-    for st in states:
-        solution.supplier_current[st.module_id] = 0.0
-        solution.charge_current[st.module_id] = 0.0
-        solution.load_current[st.module_id] = 0.0
-        solution.limiter_tripped[st.module_id] = False
-    return solution
+def _zero_solution(members: tuple[str, ...], bus_voltage: float) -> BusSolution:
+    zeros = dict.fromkeys(members, 0.0)
+    return BusSolution(members, bus_voltage, zeros, zeros.copy(), zeros.copy(),
+                       dict.fromkeys(members, False))
 
 
 def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
@@ -181,23 +171,29 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     put that root a few ulps above the true one, so it is stepped down one
     ulp at a time until balance(v) >= 0: the returned voltage never leaves
     demand short of supply as evaluated here.
+
+    ``v_hi`` itself is never a root at the call in :func:`solve_bus`. It is
+    the highest supplier voltage, so every supplier's current there is 0
+    and the balance is -P/v_hi minus the chargers' intake. That is >= 0
+    only when P/v_hi is 0 and no charger sits below v_hi, and that case has
+    already returned as open circuit.
     """
     def balance(v: float) -> float:
-        supply = sum(min(max((s.v_oc - v) / s.resistance, 0.0), limit) for s in suppliers)
-        charge = sum(min(max((v - c.v_oc) / c.resistance, 0.0), cap) for c in chargers)
+        supply = sum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
+                      for _, v_oc, r in suppliers])
+        charge = sum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
+                      for _, v_oc, r in chargers])
         return supply - load_w / v - charge
 
-    if balance(v_hi) >= 0.0:
-        return v_hi
-
     points = {v_lo, v_hi}
-    for s in suppliers:
-        points.add(s.v_oc)
-        points.add(s.v_oc - limit * s.resistance)
-    for c in chargers:
-        points.add(c.v_oc)
-        points.add(c.v_oc + cap * c.resistance)
-    breakpoints = sorted(p for p in points if v_lo <= p <= v_hi)
+    points.update([v_oc for _, v_oc, _ in suppliers],
+                  [v_oc - limit * r for _, v_oc, r in suppliers],
+                  [v_oc for _, v_oc, _ in chargers],
+                  [v_oc + cap * r for _, v_oc, r in chargers])
+    breakpoints = sorted([p for p in points if v_lo <= p <= v_hi])
+    # Each source's linear terms, v_oc/R and 1/R, divided out once.
+    linear_suppliers = [(v_oc, r, v_oc / r, 1.0 / r) for _, v_oc, r in suppliers]
+    linear_chargers = [(v_oc, r, v_oc / r, 1.0 / r) for _, v_oc, r in chargers]
 
     # Scan from the top. The balance is negative at the top of each segment
     # reached, so a segment with B <= 0 (balance rising with v) or without
@@ -208,20 +204,20 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
             continue
         mid = (lo + hi) / 2.0
         a = b = 0.0
-        for s in suppliers:
-            current = (s.v_oc - mid) / s.resistance
+        for v_oc, r, a_r, b_r in linear_suppliers:
+            current = (v_oc - mid) / r
             if current >= limit:
                 a += limit
             elif current > 0.0:
-                a += s.v_oc / s.resistance
-                b += 1.0 / s.resistance
-        for c in chargers:
-            current = (mid - c.v_oc) / c.resistance
+                a += a_r
+                b += b_r
+        for v_oc, r, a_r, b_r in linear_chargers:
+            current = (mid - v_oc) / r
             if current >= cap:
                 a -= cap
             elif current > 0.0:
-                a += c.v_oc / c.resistance
-                b += 1.0 / c.resistance
+                a += a_r
+                b += b_r
         disc = a * a - 4.0 * b * load_w
         if b <= 0.0 or disc < 0.0:
             continue
@@ -301,44 +297,45 @@ def step_energy(world: World, dt: float) -> World:
     sum to zero. A battery close enough to a bound that one step could
     cross it sits the step out, which keeps the accounting exact.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0: {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0: {dt}")
     cfg = world.config
     hours = dt / 3600.0
     # Solve every organism before touching any battery, so a brown-out on
     # one organism leaves the whole world untouched (the engine may shed
-    # loads and retry the step).
+    # loads and retry the step). Rounding is monotone, so the largest v_full
+    # gives the largest reserve and headroom of any member.
     solutions = []
     for members in connected_components(world):
-        reserve = max(
-            (world.modules[mid].spec.battery.v_full * cfg.current_limit_a * hours
-             for mid in members), default=0.0)
-        headroom = max(
-            (world.modules[mid].spec.battery.v_full * cfg.recharge_max_a * hours
-             for mid in members), default=0.0)
+        v_full = max(world.modules[mid].spec.battery.v_full for mid in members)
         solutions.append(solve_bus(
             world,
             members,
-            min_supplier_stored_wh=reserve,
-            charge_headroom_wh=headroom,
+            min_supplier_stored_wh=v_full * cfg.current_limit_a * hours,
+            charge_headroom_wh=v_full * cfg.recharge_max_a * hours,
         ))
+    delivered = world.delivered_load_wh
+    loss = world.resistive_loss_wh
     for solution in solutions:
         v = solution.bus_voltage
-        for mid in solution.organism:
-            st = world.modules[mid]
-            battery = st.spec.battery
-            exported = solution.supplier_current[mid]
-            intake = solution.charge_current[mid]
+        # The four dicts hold the members in the same order.
+        for mid, exported, intake, current in zip(
+                solution.organism, solution.supplier_current.values(),
+                solution.charge_current.values(), solution.load_current.values()):
             if exported > 0:
-                v_oc = battery.voltage(st.soc)
+                st = world.modules[mid]
+                v_oc = st.spec.battery.voltage(st.soc)
                 st.set_stored_wh(st.stored_wh - v_oc * exported * hours)
-                world.resistive_loss_wh += (v_oc - v) * exported * hours
+                loss += (v_oc - v) * exported * hours
             elif intake > 0:
-                v_oc = battery.voltage(st.soc)
+                st = world.modules[mid]
+                v_oc = st.spec.battery.voltage(st.soc)
                 st.set_stored_wh(st.stored_wh + v_oc * intake * hours)
-                world.resistive_loss_wh += (v - v_oc) * intake * hours
-            load = solution.load_current[mid] * v
-            world.delivered_load_wh += load * hours
+                loss += (v - v_oc) * intake * hours
+            if current > 0:
+                delivered += current * v * hours
+    world.delivered_load_wh = delivered
+    world.resistive_loss_wh = loss
     return world
 
 

@@ -532,6 +532,34 @@ class TestPowerFailurePolicies:
         assert log.events_named("BrownOut")
         assert engine.world.tick == 5  # the wait ran to completion
 
+    def test_shed_policy_sheds_every_failing_organism(self):
+        # Three lone switched-off Backbones each brown out; once all three
+        # are shed the step succeeds.
+        world = World()
+        for i in range(3):
+            world.add_module(f"m{i}", ModuleKind.BACKBONE, pos=(float(i), 0.0),
+                             sharing_on=False)
+        engine = Engine(world, shed_policy="shed")
+        events = engine.step()
+        assert [e.event for e in events] == ["BrownOut"] * 3
+        assert [e.subjects for e in events] == [("m0",), ("m1",), ("m2",)]
+        assert not engine.halted
+
+    def test_shed_organism_that_fails_again_halts(self, monkeypatch):
+        from heterosim import powerbus
+
+        def always_short(world, dt):
+            raise powerbus.InsufficientSupply("short", ("m",))
+
+        monkeypatch.setattr(powerbus, "step_energy", always_short)
+        world = World()
+        world.add_module("m", ModuleKind.BACKBONE)
+        engine = Engine(world, shed_policy="shed")
+        events = engine.step()
+        assert [e.event for e in events] == ["BrownOut", "FatalEvent"]
+        assert events[1].data["detail"] == "load shedding failed"
+        assert engine.halted
+
 
 class TestPhaseOrdering:
     def test_power_is_solved_after_motion(self):
