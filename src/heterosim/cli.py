@@ -18,17 +18,9 @@ from typing import Optional
 from .config import ConfigError, SimConfig
 from .docking import can_dock
 from .engine import Engine
-from .experiments import (
-    MetricsReport,
-    ScenarioError,
-    build_metrics,
-    run_assembly_experiment,
-    run_rescue_experiment,
-)
+from .experiments import BUILTINS, MetricsReport, build_metrics
 from .model import UPRIGHT, DockConnection, ModuleKind, Posture, World, passive_spec
 from .scenario import (
-    BUILTIN_PARAMS,
-    BUILTIN_SCENARIOS,
     DockWith,
     EventLog,
     LiftChain,
@@ -43,6 +35,10 @@ from .scenario import (
 )
 
 ENV_CONFIG = "HETEROSIM_CONFIG"
+
+#: The keys a scenario file may hold; any other key is refused.
+SCENARIO_KEYS = ("builtin", "params", "dt", "max_ticks", "shed_policy",
+                 "modules", "connections", "timeline")
 
 
 class ParseError(Exception):
@@ -70,23 +66,32 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
 
+    for key in raw:
+        if key not in SCENARIO_KEYS:
+            raise ValidationError(f"unknown scenario key {key!r}")
+
     script = ScenarioScript()
+    takes: tuple[str, ...] = ()  # a custom scenario takes no params
     builtin = raw.get("builtin")
     if builtin is not None:
-        if builtin not in BUILTIN_SCENARIOS:
+        if not isinstance(builtin, str) or builtin not in BUILTINS:
             raise ValidationError(
-                f"unknown builtin {builtin!r}; choices: {', '.join(BUILTIN_SCENARIOS)}")
+                f"unknown builtin {builtin!r}; choices: {', '.join(BUILTINS)}")
         script.builtin = builtin
+        takes = BUILTINS[builtin].params
     script.params = raw.get("params", {})
     if not isinstance(script.params, dict):
         raise ValidationError("'params' must be an object")
     try:
-        for key in BUILTIN_PARAMS:
-            if key in script.params:
-                json_number(script.params[key], f"'params': {key!r}")
+        for key, value in script.params.items():
+            if key not in takes:
+                raise ValueError(f"{builtin or 'a custom scenario'} takes no param {key!r}")
+            json_number(value, f"'params': {key!r}")
         if "dt" in raw:
             script.dt = json_number(raw["dt"], "'dt'")
         script.max_ticks = json_int(raw.get("max_ticks", script.max_ticks), "'max_ticks'")
@@ -261,7 +266,7 @@ def _gather_overrides(set_args: list[str]) -> dict:
     if env_path:
         try:
             defaults = json.loads(Path(env_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
             raise ConfigError(f"bad {ENV_CONFIG} file {env_path}: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError(f"{ENV_CONFIG} file must hold a JSON object")
@@ -284,7 +289,7 @@ def run(scenario_path: str, out_path: str, report_path: str,
             config = config.with_overrides({"dt": script.dt})
         config = config.with_overrides(overrides)
         log, report, success = _execute(script, config)
-    except (ParseError, ValidationError, ConfigError, ScenarioError) as exc:
+    except (ParseError, ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -302,12 +307,9 @@ def run(scenario_path: str, out_path: str, report_path: str,
 
 def _execute(script: ScenarioScript, config: SimConfig
              ) -> tuple[EventLog, MetricsReport, bool]:
-    if script.builtin == "assembly":
-        return run_assembly_experiment(config, script.params,
-                                       max_ticks=script.max_ticks)
-    if script.builtin == "rescue":
-        return run_rescue_experiment(config, script.params,
-                                     max_ticks=script.max_ticks)
+    if script.builtin is not None:
+        return BUILTINS[script.builtin].run(config, script.params,
+                                            max_ticks=script.max_ticks)
     world = build_world_from_script(script, config)
     engine = Engine(world, timeline=script.timeline,
                     max_ticks=script.max_ticks, shed_policy=script.shed_policy)
@@ -345,8 +347,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-builtins":
-        print("assembly    four robots dock into one organism, lift, and drive on wheels")
-        print("rescue      an Active Wheel rights a fallen Backbone after a call for help")
+        for name, builtin in BUILTINS.items():
+            print(f"{name:<12}{builtin.description}")
         return 0
 
     if args.command == "validate":

@@ -75,11 +75,10 @@ def can_dock(
         return DockRejection.BAD_ORIENTATION
     if mod_a.kind is ModuleKind.ACTIVE_WHEEL and mod_b.kind is ModuleKind.ACTIVE_WHEEL:
         return DockRejection.SHAPE_INCOMPATIBLE
-    status_a, status_b = mod_a.ports[port_a], mod_b.ports[port_b]
-    dockable = (PortState.FREE, PortState.DISABLED)
-    if status_a.state not in dockable or status_b.state not in dockable:
+    if mod_a.ports[port_a].state is not PortState.FREE \
+            or mod_b.ports[port_b].state is not PortState.FREE:
         return DockRejection.PORT_BUSY
-    if status_a.state is PortState.DISABLED and status_b.state is PortState.DISABLED:
+    if mod_a.posture.fallen_port == port_a and mod_b.posture.fallen_port == port_b:
         return DockRejection.PORT_BUSY
     if not (mod_a.spec.can_actively_lock or mod_b.spec.can_actively_lock):
         return DockRejection.NO_ACTIVE_LOCKER

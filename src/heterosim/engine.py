@@ -295,7 +295,7 @@ class Engine:
                 (module_id, self._broadcast_seq, directive.payload))
             self._broadcast_seq += 1
         elif isinstance(directive, Wait):
-            self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
+            self.activities[module_id] = _Wait(action.duration_s)
 
     def _in_motion(self, members: tuple[str, ...]) -> bool:
         """Motion is the organism's: one member moves or approaches at a time."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import mechanics, powerbus
 from .config import SimConfig
@@ -34,10 +34,6 @@ from .scenario import (
     _jsonable,
 )
 from .mechanics import Joint
-
-
-class ScenarioError(Exception):
-    """A scenario cannot be built or started (precondition failure)."""
 
 
 @dataclass
@@ -142,36 +138,20 @@ def build_assembly_world(config: SimConfig, params: dict | None = None) -> World
                      pos=(pitch + float(params.get("wheel_offset_m", 0.5)) + pitch, 0.0))
     # The two Backbones start out already connected.
     world.add_connection(DockConnection("bb1", 1, "bb2", 3, 0))
-    _check_assembly_preconditions(world)
     return world
-
-
-def _check_assembly_preconditions(world: World) -> None:
-    kinds = [st.kind for st in world.modules.values()]
-    if kinds.count(ModuleKind.ACTIVE_WHEEL) < 2 or kinds.count(ModuleKind.BACKBONE) < 2:
-        raise ScenarioError(
-            "assembly needs at least two Active Wheels and two Backbones")
 
 
 def run_assembly_experiment(
     config: SimConfig | None = None, params: dict | None = None,
-    world: World | None = None, max_ticks: int = 2000,
+    max_ticks: int = 2000,
 ) -> tuple[EventLog, MetricsReport, bool]:
-    config = config or SimConfig()
-    if world is None:
-        world = build_assembly_world(config, params)
-    else:
-        _check_assembly_preconditions(world)
+    world = build_assembly_world(config or SimConfig(), params)
     coordinator = AssemblyCoordinator("aw1", "aw2", "bb1", "bb2")
     engine = Engine(world, controllers=[coordinator], max_ticks=max_ticks)
     log = engine.run()
 
-    moves = log.events_named("MoveStart")
-    speeds: dict = {}
-    if len(moves) >= 1:
-        speeds["before_lift"] = moves[0].data["speed_cm_s"]
-    if len(moves) >= 2:
-        speeds["after_lift"] = moves[1].data["speed_cm_s"]
+    speeds = {key: move.data["speed_cm_s"] for key, move in
+              zip(("before_lift", "after_lift"), log.events_named("MoveStart"))}
     organisms = connected_components(world)
     success = (
         coordinator.done
@@ -184,6 +164,13 @@ def run_assembly_experiment(
 
 
 # -- rescue ----------------------------------------------------------------------
+
+
+def _fail(role, emit, reason: str) -> None:
+    """End one side's part in the rescue with ``RescueInfeasible``."""
+    emit("RescueInfeasible", (role.module_id,), {"reason": reason})
+    role.failed = True
+    role.done = True
 
 
 class FallenModuleController:
@@ -202,9 +189,7 @@ class FallenModuleController:
         if self.stage == "call":
             free = snap.free_ports()
             if not free:
-                emit("RescueInfeasible", (self.module_id,), {"reason": "NoFreePort"})
-                self.failed = True
-                self.done = True
+                _fail(self, emit, "NoFreePort")
                 return
             emit("HelpBroadcast", (self.module_id,), {"advertised_port": free[0]})
             issue(self.module_id, Broadcast(f"help:{free[0]}"))
@@ -214,9 +199,7 @@ class FallenModuleController:
             if any(m.payload == "ack" for m in snap.messages):
                 self.stage = "await_upright"
             elif tick - self._called_at > self.ack_deadline_ticks:
-                emit("RescueInfeasible", (self.module_id,), {"reason": "NoResponder"})
-                self.failed = True
-                self.done = True
+                _fail(self, emit, "NoResponder")
         elif self.stage == "await_upright":
             if snap.upright:
                 issue(self.module_id, Move(0.05))
@@ -226,14 +209,21 @@ class FallenModuleController:
                 emit("ResumedOperation", (self.module_id,), {})
                 self.done = True
             else:
-                emit("RescueInfeasible", (self.module_id,), {"reason": "CannotMove"})
-                self.failed = True
-                self.done = True
+                _fail(self, emit, "CannotMove")
 
 
 class RescuerController:
     """Behavior of a helper wheel: answer the call, dock to the advertised
     port, lift, rotate half a turn, set down, and release."""
+
+    #: What follows the lift. Each step waits for the wheel to turn busy
+    #: and then idle before it issues its directive; a wheel that never
+    #: turned busy ends the rescue with the step's failure reason.
+    STEPS = (
+        (ActuateJoint(Joint.ROTATION, 180.0), "LiftInfeasible"),
+        (LowerChain(), "RotationFailed"),
+        (Undock(port=0), "LowerFailed"),
+    )
 
     def __init__(self, module_id: str, deadline_ticks: int = 2000):
         self.module_id = module_id
@@ -242,67 +232,44 @@ class RescuerController:
         self.failed = False
         self.done = False
         self.target: Optional[str] = None
-        self.target_port = 0
+        self._step = 0
         self._busy_seen = False
-
-    def _fail(self, emit, reason: str) -> None:
-        emit("RescueInfeasible", (self.module_id,), {"reason": reason})
-        self.failed = True
-        self.done = True
 
     def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
         if tick > self.deadline_ticks and not self.done:
-            self._fail(emit, "Timeout")
+            _fail(self, emit, "Timeout")
             return
         snap = memory.get(self.module_id)
         if self.stage == "idle":
             for message in snap.messages:
                 if message.payload.startswith("help:"):
                     self.target = message.src
-                    self.target_port = int(message.payload.split(":", 1)[1])
+                    port = int(message.payload.split(":", 1)[1])
                     emit("HelpAck", (self.module_id, self.target), {})
                     issue(self.module_id, Broadcast("ack"))
                     issue(self.module_id, DockWith(
-                        self.target, own_port=0, peer_port=self.target_port))
+                        self.target, own_port=0, peer_port=port))
                     self.stage = "await_dock"
                     return
         elif self.stage == "await_dock":
             if any(p.state == "locked" and p.peer == self.target for p in snap.ports):
                 issue(self.module_id, LiftChain((self.target,)))
-                self.stage = "await_lift"
-                self._busy_seen = False
+                self.stage = "steps"
             elif not snap.busy:
-                self._fail(emit, "DockFailed")
-        elif self.stage == "await_lift":
+                _fail(self, emit, "DockFailed")
+        elif self.stage == "steps":
             if snap.busy:
                 self._busy_seen = True
                 return
+            directive, reason = self.STEPS[self._step]
             if not self._busy_seen:
-                self._fail(emit, "LiftInfeasible")
+                _fail(self, emit, reason)
                 return
             self._busy_seen = False
-            issue(self.module_id, ActuateJoint(Joint.ROTATION, 180.0))
-            self.stage = "await_rotation"
-        elif self.stage == "await_rotation":
-            if snap.busy:
-                self._busy_seen = True
-                return
-            if not self._busy_seen:
-                self._fail(emit, "RotationFailed")
-                return
-            self._busy_seen = False
-            issue(self.module_id, LowerChain())
-            self.stage = "await_lower"
-        elif self.stage == "await_lower":
-            if snap.busy:
-                self._busy_seen = True
-                return
-            if not self._busy_seen:
-                self._fail(emit, "LowerFailed")
-                return
-            self._busy_seen = False
-            issue(self.module_id, Undock(port=0))
-            self.stage = "finishing"
+            issue(self.module_id, directive)
+            self._step += 1
+            if self._step == len(self.STEPS):
+                self.stage = "finishing"
         elif self.stage == "finishing":
             if not any(p.state == "locked" for p in snap.ports):
                 self.done = True
@@ -316,40 +283,16 @@ def build_rescue_world(config: SimConfig, params: dict | None = None) -> World:
     world.add_module(
         "aw1", ModuleKind.ACTIVE_WHEEL,
         pos=(float(params.get("rescuer_distance_m", 1.5)), 0.0))
-    _check_rescue_preconditions(world)
     return world
-
-
-def _check_rescue_preconditions(world: World) -> None:
-    fallen = [st for st in world.modules.values()
-              if st.kind is ModuleKind.BACKBONE and not st.posture.upright]
-    wheels = [st for st in world.modules.values()
-              if st.kind is ModuleKind.ACTIVE_WHEEL]
-    if not fallen:
-        raise ScenarioError("rescue needs a fallen Backbone")
-    if not wheels:
-        raise ScenarioError("rescue needs at least one Active Wheel")
 
 
 def run_rescue_experiment(
     config: SimConfig | None = None, params: dict | None = None,
-    world: World | None = None, max_ticks: int = 3000,
+    max_ticks: int = 3000,
 ) -> tuple[EventLog, MetricsReport, bool]:
-    config = config or SimConfig()
-    if world is None:
-        world = build_rescue_world(config, params)
-    else:
-        _check_rescue_preconditions(world)
-    fallen_id = sorted(
-        mid for mid, st in world.modules.items()
-        if st.kind is ModuleKind.BACKBONE and not st.posture.upright)[0]
-    rescuer_id = sorted(
-        mid for mid, st in world.modules.items()
-        if st.kind is ModuleKind.ACTIVE_WHEEL)[0]
-    connections_before = len(world.connections)
-
-    fallen = FallenModuleController(fallen_id)
-    rescuer = RescuerController(rescuer_id)
+    world = build_rescue_world(config or SimConfig(), params)
+    fallen = FallenModuleController("bb1")
+    rescuer = RescuerController("aw1")
     engine = Engine(world, controllers=[fallen, rescuer], max_ticks=max_ticks)
     log = engine.run()
 
@@ -360,8 +303,28 @@ def run_rescue_experiment(
         and not engine.halted
         and "PostureUpright" in names
         and "ResumedOperation" in names
-        and world.modules[fallen_id].posture.upright
-        and len(world.connections) == connections_before
+        and world.modules["bb1"].posture.upright
+        and not world.connections
     )
     report = build_metrics(world, speeds={}, rescue_success=success)
     return log, report, success
+
+
+class Builtin(NamedTuple):
+    """One built-in experiment: its runner, the numeric ``params`` it
+    takes, and the line ``heterosim list-builtins`` prints for it."""
+
+    run: Callable[..., tuple[EventLog, MetricsReport, bool]]
+    params: tuple[str, ...]
+    description: str
+
+
+#: Every built-in experiment, by the name a scenario's ``builtin`` gives.
+BUILTINS = {
+    "assembly": Builtin(
+        run_assembly_experiment, ("wheel_offset_m",),
+        "four robots dock into one organism, lift, and drive on wheels"),
+    "rescue": Builtin(
+        run_rescue_experiment, ("rescuer_distance_m",),
+        "an Active Wheel rights a fallen Backbone after a call for help"),
+}

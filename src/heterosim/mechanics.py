@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .model import PortState, Posture, UPRIGHT, World
+from .model import PortState, Posture, World
 
 
 class Joint(Enum):
@@ -159,28 +159,15 @@ def set_posture(world: World, module_id: str, posture: Posture) -> World:
     """Stand a module up or lay it onto one of its faces.
 
     Falling disables self-locomotion and the ground-facing port (a peer may
-    still dock to it); standing up restores both.
+    still dock to it); standing up restores both. The posture alone records
+    which port faces the ground.
     """
     state = world.modules[module_id]
-    if posture.upright:
-        if not state.posture.upright:
-            port = state.ports[state.posture.fallen_port]
-            if port.state is PortState.DISABLED:
-                port.state = PortState.FREE
-        state.posture = UPRIGHT
-        return world
     face = posture.fallen_port
-    if not 0 <= face < state.spec.num_ports:
-        raise ValueError(f"port {face} invalid for {module_id}")
-    port = state.ports[face]
-    if port.state is PortState.LOCKED:
-        raise ValueError(f"{module_id} cannot fall onto docked port {face}")
-    if not state.posture.upright and state.posture.fallen_port != face:
-        old = state.ports[state.posture.fallen_port]
-        if old.state is PortState.DISABLED:
-            old.state = PortState.FREE
-    port.state = PortState.DISABLED
-    port.peer = None
-    port.connection = None
+    if face is not None:
+        if not 0 <= face < state.spec.num_ports:
+            raise ValueError(f"port {face} invalid for {module_id}")
+        if state.ports[face].state is PortState.LOCKED:
+            raise ValueError(f"{module_id} cannot fall onto docked port {face}")
     state.posture = posture
     return world

@@ -205,7 +205,6 @@ class PortState(Enum):
     APPROACHING = "approaching"
     ALIGNED = "aligned"
     LOCKED = "locked"
-    DISABLED = "disabled"   # face on the ground; dockable by a peer, cannot initiate
 
 
 @dataclass
@@ -374,12 +373,10 @@ class World:
             pose=Pose(pos[0], pos[1], heading_deg),
             soc=soc,
             sharing_on=sharing_on,
+            posture=posture,
         )
-        if not posture.upright:
-            if not 0 <= posture.fallen_port < spec.num_ports:
-                raise ValueError(f"fallen_port out of range for {module_id}")
-            state.posture = posture
-            state.ports[posture.fallen_port].state = PortState.DISABLED
+        if not posture.upright and not 0 <= posture.fallen_port < spec.num_ports:
+            raise ValueError(f"fallen_port out of range for {module_id}")
         self.modules[module_id] = state
         self._organisms = None
         return state

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -209,15 +210,19 @@ class SensorMemory:
     """
 
     def get(self, module_id: str) -> ModuleSnapshot:
+        """The snapshot of ``module_id``; a free ground-facing port reads disabled."""
         st = self._world.modules[module_id]
+        fallen = st.posture.fallen_port
         return ModuleSnapshot(
             module_id=module_id, kind=st.kind, x=st.pose.x, y=st.pose.y,
-            heading_deg=st.pose.heading_deg, fallen_port=st.posture.fallen_port,
+            heading_deg=st.pose.heading_deg, fallen_port=fallen,
             soc=st.soc, sharing_on=st.sharing_on, off_ground=st.off_ground,
             busy=module_id in self._busy, joint_bend_deg=st.joint_bend_deg,
             joint_rotation_deg=st.joint_rotation_deg,
-            ports=tuple(PortView(i, p.state.value, p.peer)
-                        for i, p in enumerate(st.ports)),
+            ports=tuple(
+                PortView(i, "disabled" if i == fallen and p.state is PortState.FREE
+                         else p.state.value, p.peer)
+                for i, p in enumerate(st.ports)),
             messages=tuple(self._inboxes.get(module_id, ())),
         )
 
@@ -284,9 +289,6 @@ class EventLog:
 
 # -- scenario scripts ---------------------------------------------------------
 
-BUILTIN_SCENARIOS = ("assembly", "rescue")
-
-
 @dataclass
 class TimelineEntry:
     tick: int
@@ -352,15 +354,19 @@ def json_str(value: object, what: str = "value") -> str:
     return value
 
 
+def _wait(d: dict) -> Wait:
+    """A wait whose ``ticks`` is >= 0 and small enough to become a float."""
+    ticks = json_int(d["ticks"], "'ticks'")
+    if not 0 <= ticks <= sys.float_info.max:
+        raise ValueError(f"'ticks' must be >= 0 and at most {sys.float_info.max}")
+    return Wait(ticks)
+
+
 def _lift_chain(d: dict) -> LiftChain:
     chain = d["chain"]
     if not isinstance(chain, list):
         raise ValueError(f"'chain' must be a list, got {chain!r}")
     return LiftChain(tuple(json_str(m, "'chain' member") for m in chain))
-
-
-#: Numeric parameters of the built-in experiments.
-BUILTIN_PARAMS = ("wheel_offset_m", "rescuer_distance_m")
 
 
 _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
@@ -377,7 +383,7 @@ _DIRECTIVE_PARSERS: dict[str, Callable[[dict], Directive]] = {
     "lift_chain": _lift_chain,
     "lower_chain": lambda d: LowerChain(),
     "broadcast": lambda d: Broadcast(json_str(d.get("payload", ""), "'payload'")),
-    "wait": lambda d: Wait(json_int(d["ticks"], "'ticks'")),
+    "wait": _wait,
 }
 
 

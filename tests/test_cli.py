@@ -352,15 +352,46 @@ class TestMalformedScalars:
             "payload_object", "peer_number", "id_number"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
-        argv = [command, "--scenario", write(tmp_path, "s.json", payload)]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "e.jsonl"),
-                     "--report", str(tmp_path / "r.json")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
-        assert not (tmp_path / "e.jsonl").exists()
+        one_error_line(tmp_path, capsys, payload, command)
+
+
+def one_error_line(tmp_path, capsys, payload, command) -> str:
+    """The stderr of ``command`` on ``payload``, once it exits 1 with one
+    ``error:`` line and writes no event log."""
+    argv = [command, "--scenario", write(tmp_path, "s.json", payload)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "e.jsonl"),
+                 "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.jsonl").exists()
+    return err
+
+
+class TestRefusedKeysAndRanges:
+    """Each probe once ran with exit 0, its key silently ignored, or ended in
+    a traceback; now it exits 1 with one ``error:`` line naming the key."""
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"builtin": "assembly", "params": {"wheel_ofset_m": 0.3}}, "'wheel_ofset_m'"),
+        ({"builtin": "assembly", "params": {"rescuer_distance_m": 1.0}},
+         "'rescuer_distance_m'"),
+        ({"modules": [SCOUT], "params": {"wheel_offset_m": 0.3}}, "'wheel_offset_m'"),
+        ({"modules": [SCOUT], "timline": [TICK0 | {
+            "directive": {"type": "wait", "ticks": 1}}]}, "'timline'"),
+        ({"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "wait", "ticks": -1}}]}, "'ticks'"),
+        ({"modules": [SCOUT], "timeline": [TICK0 | {
+            "directive": {"type": "wait", "ticks": 10**400}}]}, "'ticks'"),
+        ('{"builtin": "rescue", "max_ticks": 1' + "0" * 5000 + "}", "digits"),
+    ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
+            "unknown_top_level_key", "wait_negative", "wait_past_float",
+            "int_past_digit_limit"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
+        assert key in one_error_line(tmp_path, capsys, payload, command)
 
 
 class TestOtherCommands:
@@ -375,22 +406,11 @@ class TestOtherCommands:
 
     def test_list_builtins(self, capsys):
         assert main(["list-builtins"]) == 0
-        out = capsys.readouterr().out
-        assert "assembly" in out and "rescue" in out
+        assert capsys.readouterr().out == (
+            "assembly    four robots dock into one organism, lift, and drive on wheels\n"
+            "rescue      an Active Wheel rights a fallen Backbone after a call for help\n")
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing --scenario
         assert exc.value.code == 1
-
-    def test_assembly_missing_backbone_fails_at_load(self, tmp_path, capsys):
-        # Builtin precondition: at least two Backbones and two Active Wheels.
-        from heterosim.experiments import ScenarioError, run_assembly_experiment
-        from heterosim.model import ModuleKind, World
-
-        world = World()
-        world.add_module("aw1", ModuleKind.ACTIVE_WHEEL)
-        world.add_module("aw2", ModuleKind.ACTIVE_WHEEL, pos=(1, 0))
-        world.add_module("bb1", ModuleKind.BACKBONE, pos=(2, 0))
-        with pytest.raises(ScenarioError):
-            run_assembly_experiment(world=world)

@@ -25,6 +25,7 @@ from heterosim.model import (
 )
 from heterosim.mechanics import set_posture
 from heterosim.powerbus import step_energy, total_available_energy
+from heterosim.scenario import SensorMemory
 
 KINDS = (ModuleKind.SCOUT, ModuleKind.BACKBONE, ModuleKind.ACTIVE_WHEEL,
          ModuleKind.PASSIVE)
@@ -181,6 +182,22 @@ class TestDockUndock:
         set_posture(world, "b", Posture(fallen_port=3))
         dock(world, "a", 0, "b", 1, 0)
         assert world.modules["b"].ports[1].state.value == "locked"
+
+    def test_ground_port_stays_on_the_ground_after_undock(self):
+        # The posture alone says which port faces the ground, so a peer
+        # that docks there and leaves again does not free it.
+        world = two_module_world(ModuleKind.ACTIVE_WHEEL, ModuleKind.BACKBONE)
+        world.add_module("c", ModuleKind.SCOUT, pos=(0.21, 0.0),
+                         posture=Posture(fallen_port=0))
+        set_posture(world, "b", Posture(fallen_port=3))
+        dock(world, "a", 0, "b", 3, 0)
+        undock(world, next(iter(world.connections.values())))
+        memory = SensorMemory()
+        memory.refresh(world, set(), {})
+        snap = memory.get("b")
+        assert snap.ports[3].state == "disabled"
+        assert 3 not in snap.free_ports()
+        assert can_dock(world, "b", 3, "c", 0, 0) is DockRejection.PORT_BUSY
 
     def test_undock_splits_organism(self):
         world = two_module_world()

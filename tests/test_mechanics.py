@@ -25,6 +25,7 @@ from heterosim.model import (
     passive_spec,
     spec_for,
 )
+from heterosim.scenario import SensorMemory
 
 G = 9.81
 PITCH = 0.105
@@ -220,7 +221,9 @@ class TestSetPosture:
         world = World()
         world.add_module("bb", ModuleKind.BACKBONE)
         set_posture(world, "bb", Posture(fallen_port=3))
-        assert world.modules["bb"].ports[3].state is PortState.DISABLED
+        memory = SensorMemory()
+        memory.refresh(world, set(), {})
+        assert memory.get("bb").ports[3].state == "disabled"
         assert organism_speed(world, ("bb",)) == 0.0
 
     def test_upright_restores(self):

@@ -237,8 +237,15 @@ class TestDockingThroughEngine:
     def test_second_approacher_aborts_at_alignment(self):
         # The peer port is taken only at alignment, so a later approacher
         # to the same port is settled there, and frees only its own port.
+        self.second_approacher_aborts_at_alignment(Posture())
+
+    def test_second_approacher_to_a_ground_port_aborts_at_alignment(self):
+        # A port that faces the ground is taken at alignment like any other.
+        self.second_approacher_aborts_at_alignment(Posture(fallen_port=1))
+
+    def second_approacher_aborts_at_alignment(self, posture):
         world = World()
-        world.add_module("p", ModuleKind.BACKBONE, pos=(0.0, 0.0))
+        world.add_module("p", ModuleKind.BACKBONE, pos=(0.0, 0.0), posture=posture)
         world.add_module("w", ModuleKind.ACTIVE_WHEEL, pos=(0.6, 0.0))
         world.add_module("s", ModuleKind.SCOUT, pos=(-0.3, 0.0))
         engine = Engine(world, timeline=[
