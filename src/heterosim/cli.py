@@ -76,7 +76,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
             raise ValidationError(f"unknown scenario key {key!r}")
 
     script = ScenarioScript()
-    takes: tuple[str, ...] = ()  # a custom scenario takes no params
+    takes: dict[str, float] = {}  # a custom scenario takes no params
     builtin = raw.get("builtin")
     if builtin is not None:
         if not isinstance(builtin, str) or builtin not in BUILTINS:
@@ -260,6 +260,15 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
     return world
 
 
+def _check_param_ranges(script: ScenarioScript, config: SimConfig) -> None:
+    """Refuse a builtin param below its least value, which the pitch sets."""
+    takes = BUILTINS[script.builtin].params if script.builtin else {}
+    for key, least in takes.items():
+        bound = least * config.module_pitch
+        if (value := script.params.get(key, bound)) < bound:
+            raise ValidationError(f"'params': {key!r} must be >= {bound:g} m, got {value!r}")
+
+
 def _gather_overrides(set_args: list[str]) -> dict:
     overrides: dict = {}
     env_path = os.environ.get(ENV_CONFIG)
@@ -288,6 +297,7 @@ def run(scenario_path: str, out_path: str, report_path: str,
         if script.dt is not None:
             config = config.with_overrides({"dt": script.dt})
         config = config.with_overrides(overrides)
+        _check_param_ranges(script, config)
         log, report, success = _execute(script, config)
     except (ParseError, ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -354,6 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "validate":
         try:
             script = load_scenario(args.scenario)
+            _check_param_ranges(script, SimConfig())
             if script.builtin is None:
                 build_world_from_script(script, SimConfig())
         except (ParseError, ValidationError) as exc:

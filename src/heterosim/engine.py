@@ -12,7 +12,8 @@ A module runs at most one activity, a small dataclass per kind, and an
 organism at most one move or approach, at its ground speed. An
 approach reserves the initiator's port (approaching -> aligned -> locked);
 the peer's port is only taken at alignment, so two approaches to one port
-are settled there and the later one aborts with ``PortBusy``.
+are settled there and the later one aborts with ``PortBusy``. No link with
+an end off the ground, or in a lift under way, can be undocked.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
 from .mechanics import Joint
-from .model import PortState, UPRIGHT, World
+from .model import ModuleKind, PortState, UPRIGHT, World
 from .scenario import (
     ActuateJoint,
     Broadcast,
@@ -236,8 +237,7 @@ class Engine:
             self._reject(module_id, directive, "DeadBattery")
             return
         try:
-            action = dispatch(state.spec, directive, self.config,
-                              current_angle_deg=self._joint_angle(state, directive))
+            implementation = dispatch(state.spec, directive)
         except UnsupportedDirective:
             self._reject(module_id, directive, "Unsupported")
             return
@@ -258,16 +258,17 @@ class Engine:
             self.activities[module_id] = _Move(directive.distance_m)
             self.emit("MoveStart", (module_id,), {
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
-                "implementation": action.implementation})
+                "implementation": implementation})
         elif isinstance(directive, Turn):
             if any(p.state is PortState.LOCKED for p in state.ports):
                 self._reject(module_id, directive, "CannotMove")
                 return
+            duration = (0.0 if state.kind is ModuleKind.ACTIVE_WHEEL  # omni: one tick
+                        else mechanics.joint_travel_s(state.spec, 0, directive.angle_deg))
             self.activities[module_id] = _Turn(
-                action.duration_s, (state.pose.heading_deg + directive.angle_deg) % 360)
+                duration, (state.pose.heading_deg + directive.angle_deg) % 360)
             self.emit("TurnStart", (module_id,), {
-                "angle_deg": directive.angle_deg,
-                "implementation": action.implementation})
+                "angle_deg": directive.angle_deg, "implementation": implementation})
         elif isinstance(directive, DockWith):
             self._dispatch_dock(module_id, directive, claimed_ports)
         elif isinstance(directive, Undock):
@@ -287,27 +288,20 @@ class Engine:
             if not state.lifted_chain:
                 self._reject(module_id, directive, "BadTarget")
                 return
-            duration = abs(state.joint_bend_deg) / state.spec.actuation_speed_deg_s
-            self.activities[module_id] = _Lower(duration)
+            self.activities[module_id] = _Lower(
+                mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
             self.emit("LowerStart", (module_id,), {"chain": list(state.lifted_chain)})
         elif isinstance(directive, Broadcast):
             self._pending_broadcasts.append(
                 (module_id, self._broadcast_seq, directive.payload))
             self._broadcast_seq += 1
         elif isinstance(directive, Wait):
-            self.activities[module_id] = _Wait(action.duration_s)
+            self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
 
     def _in_motion(self, members: tuple[str, ...]) -> bool:
         """Motion is the organism's: one member moves or approaches at a time."""
         return any(isinstance(self.activities.get(mid), (_Move, _Approach))
                    for mid in members)
-
-    @staticmethod
-    def _joint_angle(state, directive: Directive) -> float:
-        if isinstance(directive, ActuateJoint):
-            return (state.joint_bend_deg if directive.joint is Joint.BEND
-                    else state.joint_rotation_deg)
-        return 0.0
 
     def _dispatch_dock(self, module_id: str, directive: DockWith,
                        claimed_ports: set[tuple[str, int]]) -> None:
@@ -364,7 +358,8 @@ class Engine:
         except mechanics.JointLimitExceeded:
             self._reject(module_id, directive, "JointLimit")
             return
-        start = self._joint_angle(state, directive)
+        start = (state.joint_bend_deg if directive.joint is Joint.BEND
+                 else state.joint_rotation_deg)
         self.activities[module_id] = _Actuate(
             duration, directive.joint, directive.target_deg, start)
         name = "RotateStart" if directive.joint is Joint.ROTATION else "BendStart"
@@ -394,9 +389,8 @@ class Engine:
             self._reject(module_id, directive, "BadTarget")
             return
         lift_angle = min(90.0, state.spec.bend_limit_deg)
-        duration = abs(lift_angle - state.joint_bend_deg) / state.spec.actuation_speed_deg_s
-        self.activities[module_id] = _Lift(
-            duration, tuple(directive.chain), lift_angle)
+        travel_s = mechanics.joint_travel_s(state.spec, state.joint_bend_deg, lift_angle)
+        self.activities[module_id] = _Lift(travel_s, tuple(directive.chain), lift_angle)
         self.emit("LiftStart", (module_id,), {
             "chain": list(directive.chain),
             "required_torque_nm": assessment.required_torque_nm})
@@ -424,13 +418,7 @@ class Engine:
                 return
             step = min(speed_cm / 100.0 * dt, activity.remaining_m)
             heading = math.radians(state.pose.heading_deg)
-            dx, dy = step * math.cos(heading), step * math.sin(heading)
-            for mid in members:
-                other = world.modules[mid]
-                other.pose.x += dx
-                other.pose.y += dy
-                if mechanics.can_drive(other):
-                    self._driving.add(mid)
+            self._translate(members, step * math.cos(heading), step * math.sin(heading))
             activity.remaining_m -= step
             if activity.remaining_m <= _EPS:
                 del self.activities[module_id]
@@ -448,14 +436,17 @@ class Engine:
                 step = min(speed_cm / 100.0 * dt, to_travel)
                 peer_pose = world.modules[activity.peer].pose
                 norm = max(distance, 1e-12)
-                ux = (peer_pose.x - state.pose.x) / norm
-                uy = (peer_pose.y - state.pose.y) / norm
-                for mid in members:
-                    other = world.modules[mid]
-                    other.pose.x += ux * step
-                    other.pose.y += uy * step
-                    if mechanics.can_drive(other):
-                        self._driving.add(mid)
+                self._translate(members, (peer_pose.x - state.pose.x) / norm * step,
+                                (peer_pose.y - state.pose.y) / norm * step)
+
+    def _translate(self, members: tuple[str, ...], dx: float, dy: float) -> None:
+        """Carry the whole organism by (dx, dy); its grounded drivers draw power."""
+        for mid in members:
+            state = self.world.modules[mid]
+            state.pose.x += dx
+            state.pose.y += dy
+            if mechanics.can_drive(state):
+                self._driving.add(mid)
 
     def _finish(self, module_id: str, activity: _Timed) -> None:
         """Apply the effect of a timed activity whose time has run out."""
@@ -506,6 +497,9 @@ class Engine:
             del self.activities[module_id]
             if conn is None:
                 self._reject(module_id, Undock(activity.port), "BadTarget")
+                return
+            if self._held_up(conn.module_a) or self._held_up(conn.module_b):
+                self._reject(module_id, Undock(activity.port), "Busy")
                 return
             docking.undock(world, conn)
             self.emit("Undocked", (conn.module_a, conn.module_b), {
@@ -562,6 +556,11 @@ class Engine:
         self.emit("Docked", (module_id, peer), {
             "own_port": activity.own_port, "peer_port": activity.peer_port,
             "orientation_deg": activity.orientation_deg})
+
+    def _held_up(self, module_id: str) -> bool:
+        """Whether ``module_id`` hangs off the ground or in a lift under way."""
+        return self.world.modules[module_id].off_ground or any(
+            isinstance(a, _Lift) and module_id in a.chain for a in self.activities.values())
 
     def _abort_approach(self, module_id: str, activity: _Approach, reason: str) -> None:
         """End an approach before alignment and free the initiator's port."""

@@ -311,20 +311,21 @@ def run_rescue_experiment(
 
 
 class Builtin(NamedTuple):
-    """One built-in experiment: its runner, the numeric ``params`` it
-    takes, and the line ``heterosim list-builtins`` prints for it."""
+    """One built-in experiment: its runner, the numeric ``params`` it takes,
+    each with its least value in module pitches, and the line
+    ``heterosim list-builtins`` prints for it."""
 
     run: Callable[..., tuple[EventLog, MetricsReport, bool]]
-    params: tuple[str, ...]
+    params: dict[str, float]
     description: str
 
 
 #: Every built-in experiment, by the name a scenario's ``builtin`` gives.
 BUILTINS = {
     "assembly": Builtin(
-        run_assembly_experiment, ("wheel_offset_m",),
+        run_assembly_experiment, {"wheel_offset_m": 0.0},
         "four robots dock into one organism, lift, and drive on wheels"),
     "rescue": Builtin(
-        run_rescue_experiment, ("rescuer_distance_m",),
+        run_rescue_experiment, {"rescuer_distance_m": 1.0},
         "an Active Wheel rights a fallen Backbone after a call for help"),
 }

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .model import PortState, Posture, World
+from .model import ModuleSpec, PortState, Posture, World
 
 
 class Joint(Enum):
@@ -48,16 +48,9 @@ class LiftAssessment:
     available_torque_nm: float
 
 
-def required_lift_torque(
-    masses_kg: Sequence[float], pitch_m: float, gravity: float = 9.81,
-    arms_m: Optional[Sequence[float]] = None,
-) -> float:
-    """Moment at the joint for a cantilevered chain; position i hangs at
-    (i+1) pitches unless explicit arms are given."""
-    if arms_m is not None:
-        if len(arms_m) != len(masses_kg):
-            raise ValueError("arms and masses must have equal length")
-        return sum(m * gravity * arm for m, arm in zip(masses_kg, arms_m))
+def required_lift_torque(masses_kg: Sequence[float], pitch_m: float,
+                         gravity: float = 9.81) -> float:
+    """Moment at the joint for a cantilevered chain; position i hangs at (i+1) pitches."""
     return sum(m * gravity * (i + 1) * pitch_m for i, m in enumerate(masses_kg))
 
 
@@ -78,9 +71,7 @@ def _validate_chain(world: World, query: LiftQuery) -> None:
         previous = mid
 
 
-def lift_feasible(
-    world: World, query: LiftQuery, arms_m: Optional[Sequence[float]] = None,
-) -> LiftAssessment:
+def lift_feasible(world: World, query: LiftQuery) -> LiftAssessment:
     """Whether the lifter's joint torque covers the chain's gravity moment.
 
     Infeasibility is a value, not an error.
@@ -92,10 +83,14 @@ def lift_feasible(
     if query.joint is Joint.ROTATION and lifter.spec.rotation_limit_deg <= 0:
         raise ValueError(f"{query.lifter} has no rotation joint")
     masses = [world.modules[mid].spec.mass_kg for mid in query.chain]
-    required = required_lift_torque(
-        masses, world.config.module_pitch, world.config.gravity, arms_m)
+    required = required_lift_torque(masses, world.config.module_pitch, world.config.gravity)
     available = lifter.spec.max_torque_nm
     return LiftAssessment(required <= available, required, available)
+
+
+def joint_travel_s(spec: ModuleSpec, from_deg: float, to_deg: float) -> float:
+    """Seconds a joint takes from ``from_deg`` to ``to_deg`` at the platform's rate."""
+    return abs(to_deg - from_deg) / spec.actuation_speed_deg_s
 
 
 def actuation_duration(
@@ -128,7 +123,7 @@ def actuation_duration(
     current = state.joint_bend_deg if joint is Joint.BEND else state.joint_rotation_deg
     if spec.actuation_speed_deg_s <= 0:
         raise JointLimitExceeded(f"{module_id} cannot actuate")
-    return abs(target_deg - current) / spec.actuation_speed_deg_s
+    return joint_travel_s(spec, current, target_deg)
 
 
 def can_drive(state) -> bool:

@@ -13,10 +13,10 @@ exactly A - B*v - P/v there. The solver scans segments from the top of the
 voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
 first segment that holds one.
 
-A solve is one pass over the members, then that scan. Its floats are pinned
-bit for bit by a digest in the tests, so every sum stays a ``sum()`` call:
-Python 3.12 made ``sum()`` of floats compensated, and a hand-written loop
-would round differently there.
+A solve is one pass over the members, then that scan. Every sum is a
+``math.fsum``, which rounds once, so the floats are the same on every
+Python version (``sum()`` of floats rounds differently from 3.12 on); a
+digest in the tests pins them bit for bit.
 """
 from __future__ import annotations
 
@@ -63,11 +63,11 @@ class BusSolution:
 
     @property
     def total_supply_a(self) -> float:
-        return sum(self.supplier_current.values())
+        return math.fsum(self.supplier_current.values())
 
     @property
     def total_demand_a(self) -> float:
-        return sum(self.load_current.values()) + sum(self.charge_current.values())
+        return math.fsum(self.load_current.values()) + math.fsum(self.charge_current.values())
 
 
 def solve_bus(
@@ -118,7 +118,7 @@ def solve_bus(
                 suppliers.append((mid, v_oc, battery.internal_resistance))
         elif cfg.recharge_enabled and stored <= full - charge_headroom_wh:
             chargers.append((mid, battery.voltage(st.soc), battery.internal_resistance))
-    total_load_w = sum(loads)
+    total_load_w = math.fsum(loads)
 
     if not suppliers:
         if total_load_w > 0:
@@ -179,10 +179,10 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     already returned as open circuit.
     """
     def balance(v: float) -> float:
-        supply = sum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
-                      for _, v_oc, r in suppliers])
-        charge = sum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
-                      for _, v_oc, r in chargers])
+        supply = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
+                            for _, v_oc, r in suppliers])
+        charge = math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
+                            for _, v_oc, r in chargers])
         return supply - load_w / v - charge
 
     points = {v_lo, v_hi}
@@ -342,7 +342,7 @@ def step_energy(world: World, dt: float) -> World:
 def total_available_energy(world: World, organism: tuple[str, ...] | None = None) -> float:
     """Stored energy of an organism in Wh (state of charge times capacity)."""
     members = organism if organism is not None else tuple(world.modules)
-    return sum(
+    return math.fsum(
         world.modules[mid].soc * world.modules[mid].spec.battery.energy_full_wh
         for mid in members
     )

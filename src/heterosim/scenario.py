@@ -1,9 +1,10 @@
 """Directive vocabulary, kind dispatch, sensor memory, and the event log.
 
-Controllers talk to modules through a small set of common directives; the
-dispatch table maps each one onto the platform's concrete implementation
+Controllers talk to modules through a small set of common directives;
+``dispatch`` maps each one onto the platform's concrete implementation
 (track drive, screw drive, omni drive) and rejects pairs the platform
-cannot perform. Controllers never read the world directly: they read
+cannot perform. It returns an implementation, not a duration: the engine
+times every directive. Controllers never read the world directly: they read
 sensor memory, which builds a module's snapshot when asked, from the world
 as it stands at the start of the tick. That gives every observation the
 engine makes a one-tick delay, while a change made to the world from
@@ -17,7 +18,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .config import SimConfig
 from .mechanics import Joint
 from .model import ModuleKind, ModuleSpec, PortState, World
 
@@ -98,63 +98,36 @@ _TURN_IMPL = {
 }
 
 
-@dataclass(frozen=True)
-class Action:
-    """Concrete, kind-specific realization of a directive."""
-
-    implementation: str
-    duration_s: Optional[float] = None
-
-
-def dispatch(
-    spec: ModuleSpec,
-    directive: Directive,
-    config: SimConfig,
-    current_angle_deg: float = 0.0,
-) -> Action:
-    """Map a common directive onto the platform's implementation.
-
-    Raises :class:`UnsupportedDirective` for pairs the platform cannot
-    perform (locomotion or joints on a passive block).
-    """
+def dispatch(spec: ModuleSpec, directive: Directive) -> Optional[str]:
+    """The platform's implementation of a ``Move`` or ``Turn``, whose start
+    events name it, or ``None`` for another directive; the engine times them
+    all. Raises :class:`UnsupportedDirective` for pairs the platform cannot
+    perform (locomotion or joints on a passive block)."""
     kind = spec.kind
     if isinstance(directive, Move):
         if spec.locomotion_speed_cm_s <= 0:
             raise UnsupportedDirective(f"{kind.value} cannot move")
         if directive.distance_m < 0:
             raise UnsupportedDirective("move distance must be >= 0")
-        speed_m_s = spec.locomotion_speed_cm_s / 100.0
-        return Action(_DRIVE_IMPL[kind], directive.distance_m / speed_m_s)
+        return _DRIVE_IMPL[kind]
     if isinstance(directive, Turn):
         if directive.angle_deg not in (90, -90, 180, -180):
             raise UnsupportedDirective("turn angle must be +/-90 or +/-180")
-        if kind is ModuleKind.ACTIVE_WHEEL:
-            return Action(_TURN_IMPL[kind], 0.0)  # omni wheels: within one tick
-        if spec.locomotion_speed_cm_s <= 0 or spec.actuation_speed_deg_s <= 0:
+        if kind is not ModuleKind.ACTIVE_WHEEL and (
+                spec.locomotion_speed_cm_s <= 0 or spec.actuation_speed_deg_s <= 0):
             raise UnsupportedDirective(f"{kind.value} cannot turn")
-        return Action(_TURN_IMPL[kind], abs(directive.angle_deg) / spec.actuation_speed_deg_s)
+        return _TURN_IMPL[kind]
     if isinstance(directive, ActuateJoint):
         limit = (spec.bend_limit_deg if directive.joint is Joint.BEND
                  else spec.rotation_limit_deg)
         if limit <= 0 or spec.actuation_speed_deg_s <= 0:
             raise UnsupportedDirective(f"{kind.value} has no {directive.joint.value} joint")
-        duration = abs(directive.target_deg - current_angle_deg) / spec.actuation_speed_deg_s
-        return Action(f"{directive.joint.value}-actuate", duration)
-    if isinstance(directive, (LiftChain, LowerChain)):
+    elif isinstance(directive, (LiftChain, LowerChain)):
         if spec.bend_limit_deg <= 0 or spec.actuation_speed_deg_s <= 0:
             raise UnsupportedDirective(f"{kind.value} cannot lift")
-        return Action("lift-actuate", None)
-    if isinstance(directive, DockWith):
-        return Action("approach-dock", None)
-    if isinstance(directive, Undock):
-        return Action("unlock", 0.0)
-    if isinstance(directive, SetSharing):
-        return Action("sharing-switch", 0.0)
-    if isinstance(directive, Broadcast):
-        return Action("radio-broadcast", 0.0)
-    if isinstance(directive, Wait):
-        return Action("wait", directive.ticks * config.dt)
-    raise UnsupportedDirective(f"unknown directive {directive!r}")
+    elif not isinstance(directive, (DockWith, Undock, SetSharing, Broadcast, Wait)):
+        raise UnsupportedDirective(f"unknown directive {directive!r}")
+    return None
 
 
 # -- sensor memory ---------------------------------------------------------

@@ -386,9 +386,13 @@ class TestRefusedKeysAndRanges:
         ({"modules": [SCOUT], "timeline": [TICK0 | {
             "directive": {"type": "wait", "ticks": 10**400}}]}, "'ticks'"),
         ('{"builtin": "rescue", "max_ticks": 1' + "0" * 5000 + "}", "digits"),
+        ({"builtin": "assembly", "params": {"wheel_offset_m": -1}}, "'wheel_offset_m'"),
+        ({"builtin": "rescue", "params": {"rescuer_distance_m": 0}},
+         "'rescuer_distance_m'"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
-            "int_past_digit_limit"])
+            "int_past_digit_limit", "wheel_offset_negative",
+            "rescuer_inside_the_pitch"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
         assert key in one_error_line(tmp_path, capsys, payload, command)

@@ -88,12 +88,6 @@ class TestLiftFeasible:
         with pytest.raises(ValueError):
             lift_feasible(world, LiftQuery("lift", Joint.BEND, (chain[1], chain[0])))
 
-    def test_custom_arms_override(self):
-        world, chain = lifter_with_chain(ModuleKind.SCOUT, [1.0, 1.0])
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain),
-                               arms_m=[0.05, 0.10])
-        assert result.required_torque_nm == pytest.approx(G * (0.05 + 0.10), abs=1e-9)
-
     @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_matches_moment_oracle(self, masses):
@@ -129,6 +123,10 @@ class TestActuationDuration:
 
     def test_wheel_half_turn(self, world):
         assert actuation_duration(world, "aw", Joint.ROTATION, 180.0) == pytest.approx(3.6)
+
+    def test_from_the_current_angle(self, world):
+        world.modules["bb"].joint_bend_deg = 45.0
+        assert actuation_duration(world, "bb", Joint.BEND, 90.0) == pytest.approx(0.5)
 
     def test_already_at_target(self, world):
         assert actuation_duration(world, "bb", Joint.BEND, 0.0) == 0.0
@@ -252,7 +250,3 @@ class TestRequiredTorqueHelper:
     def test_arm_progression(self):
         assert required_lift_torque([1.0], 0.105) == pytest.approx(G * 0.105)
         assert required_lift_torque([1.0, 1.0], 0.105) == pytest.approx(G * 0.315)
-
-    def test_mismatched_arms_rejected(self):
-        with pytest.raises(ValueError):
-            required_lift_torque([1.0, 1.0], 0.105, arms_m=[0.1])

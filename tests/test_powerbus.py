@@ -2,7 +2,6 @@
 import hashlib
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -307,9 +306,9 @@ class TestBusInvariants:
 
 def source_balance(suppliers, chargers, load_w, v):
     """Supply and demand at bus voltage v, straight from the source laws."""
-    supply = sum(min(max((v_oc - v) / R_INT, 0.0), LIMIT) for v_oc in suppliers)
-    demand = load_w / v + sum(min(max((v - v_oc) / R_INT, 0.0), CHARGE_CAP)
-                              for v_oc in chargers)
+    supply = math.fsum(min(max((v_oc - v) / R_INT, 0.0), LIMIT) for v_oc in suppliers)
+    demand = load_w / v + math.fsum(min(max((v - v_oc) / R_INT, 0.0), CHARGE_CAP)
+                                    for v_oc in chargers)
     return supply, demand
 
 
@@ -486,13 +485,8 @@ def digest_entries(rng):
 #: sha256 of every solution and stepped ledger below, as first computed by
 #: the solver with a ``_Source`` dataclass and per-segment divides. A change
 #: to the bus arithmetic that moves any float, even by one ulp, moves it.
-#: Python 3.12 made ``sum()`` of floats compensated, which moves some of the
-#: solver's sums, so each side of that change has its own digest.
-BUS_DIGEST = (
-    "4a08f7c3876a202c979d967a4ec179f6669af079f53e1a899ba45b2f83bc0a8a"
-    if sys.version_info >= (3, 12) else
-    "0fc6c59a90d018305ff0c87c98d65670c00222e5af6b7a09cf5ac86dfb97da9b"
-)
+#: The solver sums with ``math.fsum``, so one digest holds on every Python.
+BUS_DIGEST = "4a08f7c3876a202c979d967a4ec179f6669af079f53e1a899ba45b2f83bc0a8a"
 
 
 class TestBusDigest:

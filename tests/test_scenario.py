@@ -11,6 +11,7 @@ from heterosim.scenario import (
     Broadcast,
     DockWith,
     LiftChain,
+    LowerChain,
     Move,
     ReceivedMessage,
     SetSharing,
@@ -26,48 +27,55 @@ from heterosim.scenario import (
 CFG = SimConfig()
 
 
+def turn_complete_tick(kind: ModuleKind, angle_deg: int) -> int:
+    """The tick at which a lone module given ``Turn(angle_deg)`` at tick 0
+    logs ``TurnComplete``."""
+    engine = single_module_engine(kind=kind)
+    engine.step([("m", Turn(angle_deg))])
+    while "m" in engine.activities:
+        engine.step()
+    return engine.log.events_named("TurnComplete")[0].tick
+
+
 class TestDispatch:
+    """``dispatch`` names the implementation and refuses what a platform
+    cannot do; the engine times each directive."""
+
     def test_move_on_wheel(self):
-        action = dispatch(spec_for(ModuleKind.ACTIVE_WHEEL), Move(0.31), CFG)
-        assert action.duration_s == pytest.approx(1.0)
-        assert action.implementation == "omni-drive"
+        assert dispatch(spec_for(ModuleKind.ACTIVE_WHEEL), Move(0.31)) == "omni-drive"
 
     def test_move_on_scout(self):
-        action = dispatch(spec_for(ModuleKind.SCOUT), Move(0.125), CFG)
-        assert action.duration_s == pytest.approx(1.0)
-        assert action.implementation == "track-drive"
+        assert dispatch(spec_for(ModuleKind.SCOUT), Move(0.125)) == "track-drive"
 
     def test_move_on_backbone_is_screw_drive(self):
-        action = dispatch(spec_for(ModuleKind.BACKBONE), Move(0.06), CFG)
-        assert action.implementation == "screw-drive"
-        assert action.duration_s == pytest.approx(1.0)
+        assert dispatch(spec_for(ModuleKind.BACKBONE), Move(0.06)) == "screw-drive"
 
     def test_move_on_passive_rejected(self):
         with pytest.raises(UnsupportedDirective):
-            dispatch(spec_for(ModuleKind.PASSIVE), Move(0.1), CFG)
+            dispatch(spec_for(ModuleKind.PASSIVE), Move(0.1))
 
     def test_actuate_on_passive_rejected(self):
         with pytest.raises(UnsupportedDirective):
-            dispatch(spec_for(ModuleKind.PASSIVE), ActuateJoint(Joint.BEND, 10.0), CFG)
+            dispatch(spec_for(ModuleKind.PASSIVE), ActuateJoint(Joint.BEND, 10.0))
 
     def test_wheel_turn_is_instant(self):
-        action = dispatch(spec_for(ModuleKind.ACTIVE_WHEEL), Turn(90), CFG)
-        assert action.duration_s == 0.0
-        assert action.implementation == "omni-rotate"
+        assert dispatch(spec_for(ModuleKind.ACTIVE_WHEEL), Turn(90)) == "omni-rotate"
+        assert turn_complete_tick(ModuleKind.ACTIVE_WHEEL, 90) == 0
 
     def test_scout_turn_uses_actuation_rate(self):
-        action = dispatch(spec_for(ModuleKind.SCOUT), Turn(-90), CFG)
-        assert action.duration_s == pytest.approx(90.0 / 37.2)
+        assert dispatch(spec_for(ModuleKind.SCOUT), Turn(-90)) == "track-turn"
+        # 90 deg at 37.2 deg/s is 2.42 s: the 25th tick, tick 24, completes it.
+        assert turn_complete_tick(ModuleKind.SCOUT, -90) == 24
 
     def test_turn_angle_quantized(self):
         with pytest.raises(UnsupportedDirective):
-            dispatch(spec_for(ModuleKind.SCOUT), Turn(45), CFG)
+            dispatch(spec_for(ModuleKind.SCOUT), Turn(45))
 
-    def test_actuation_duration_from_current_angle(self):
-        action = dispatch(spec_for(ModuleKind.BACKBONE),
-                          ActuateJoint(Joint.BEND, 90.0), CFG,
-                          current_angle_deg=45.0)
-        assert action.duration_s == pytest.approx(0.5)
+    def test_other_directives_name_no_implementation(self):
+        spec = spec_for(ModuleKind.BACKBONE)
+        for directive in (ActuateJoint(Joint.BEND, 10.0), LiftChain(("x",)), Wait(1),
+                          DockWith("x", 0, 0), Undock(0), SetSharing(True), Broadcast("")):
+            assert dispatch(spec, directive) is None
 
 
 class TestDirectiveCodec:
@@ -170,12 +178,15 @@ class TestEngineBasics:
                    for e in events)
 
     def test_wait_occupies_the_module(self):
-        engine = single_module_engine()
-        engine.step([("m", Wait(3))])
-        assert "m" in engine.activities
-        engine.step()
-        engine.step()
-        assert "m" not in engine.activities
+        # Wait(n) keeps the module busy for ticks 0 to n - 1: still running
+        # after each of the first n - 1 ticks, done after tick n - 1.
+        for ticks in (1, 3, 20):
+            engine = single_module_engine()
+            busy = []
+            for directives in [[("m", Wait(ticks))]] + [None] * ticks:
+                engine.step(directives)
+                busy.append("m" in engine.activities)
+            assert busy == [True] * (ticks - 1) + [False, False]
 
     def test_set_sharing_is_instant(self):
         engine = single_module_engine()
@@ -590,13 +601,23 @@ class TestPhaseOrdering:
         assert docked.t - aligned.t == pytest.approx(CFG.dock_handshake_s)
 
 
+def wheel_holding_backbone() -> Engine:
+    world = World()
+    world.add_module("aw", ModuleKind.ACTIVE_WHEEL, pos=(0.0, 0.0))
+    world.add_module("bb", ModuleKind.BACKBONE, pos=(0.105, 0.0))
+    world.add_connection(DockConnection("aw", 0, "bb", 3, 0))
+    return Engine(world)
+
+
+def rejections(events) -> list[tuple[tuple[str, ...], str, str]]:
+    return [(e.subjects, e.data["directive"], e.data["reason"])
+            for e in events if e.event == "DirectiveRejected"]
+
+
 class TestLiftThroughEngine:
     def test_lift_then_rotate_then_lower(self):
-        world = World()
-        world.add_module("aw", ModuleKind.ACTIVE_WHEEL, pos=(0.0, 0.0))
-        world.add_module("bb", ModuleKind.BACKBONE, pos=(0.105, 0.0))
-        world.add_connection(DockConnection("aw", 0, "bb", 3, 0))
-        engine = Engine(world)
+        engine = wheel_holding_backbone()
+        world = engine.world
         engine.step([("aw", LiftChain(("bb",)))])
         for _ in range(30):
             engine.step()
@@ -619,3 +640,38 @@ class TestLiftThroughEngine:
         events = engine.step([("s", LiftChain(("b0", "b1", "b2")))])
         assert any(e.event == "DirectiveRejected"
                    and e.data["reason"] == "TorqueExceeded" for e in events)
+
+    @pytest.mark.parametrize("module_id, port", [("aw", 0), ("bb", 3)])
+    def test_lifted_link_cannot_be_undocked(self, module_id, port):
+        # Once undocked, the wheel would still hold "bb" up, and a later
+        # actuation ended in a traceback from the broken chain.
+        engine = wheel_holding_backbone()
+        engine.step([("aw", LiftChain(("bb",)))])
+        for _ in range(39):
+            engine.step()
+        assert engine.world.modules["bb"].off_ground
+        events = engine.step([(module_id, Undock(port))])
+        assert rejections(events) == [((module_id,), "Undock", "Busy")]
+        assert engine.world.connections
+        engine.step([("aw", ActuateJoint(Joint.BEND, 10.0))])
+        while engine.activities:
+            engine.step()
+        assert engine.world.modules["aw"].joint_bend_deg == 10.0
+
+    def test_link_in_a_lift_under_way_cannot_be_undocked(self):
+        engine = wheel_holding_backbone()
+        engine.step([("aw", LiftChain(("bb",)))])
+        events = engine.step([("bb", Undock(3))])
+        assert rejections(events) == [(("bb",), "Undock", "Busy")]
+
+    def test_undock_accepted_once_lowered(self):
+        engine = wheel_holding_backbone()
+        engine.step([("aw", LiftChain(("bb",)))])
+        while engine.activities:
+            engine.step()
+        engine.step([("aw", LowerChain())])
+        while engine.activities:
+            engine.step()
+        events = engine.step([("aw", Undock(0))])
+        assert [e.event for e in events] == ["Undocked"]
+        assert not engine.world.connections
