@@ -12,8 +12,9 @@ A module runs at most one activity, a small dataclass per kind, and an
 organism at most one move or approach, at its ground speed. An
 approach reserves the initiator's port (approaching -> aligned -> locked);
 the peer's port is only taken at alignment, so two approaches to one port
-are settled there and the later one aborts with ``PortBusy``. No link with
-an end off the ground, or in a lift under way, can be undocked.
+are settled there and the later one aborts with ``PortBusy``. A module held
+up by a lift, done or under way, neither lifts nor undocks, and no lift takes
+a module held up or holding a chain. Once halted, ``step`` does nothing.
 """
 from __future__ import annotations
 
@@ -91,7 +92,6 @@ class _Turn(_Timed):
 class _Actuate(_Timed):
     joint: Joint
     target_deg: float
-    start_deg: float
 
 
 @dataclass
@@ -169,6 +169,8 @@ class Engine:
 
     def step(self, extra_directives: Optional[list[tuple[str, Directive]]] = None) -> list[Event]:
         """Advance one tick; returns the events of this tick."""
+        if self.halted:
+            return []
         world = self.world
         self._tick_events = []
         self._driving = set()
@@ -241,8 +243,9 @@ class Engine:
         except UnsupportedDirective:
             self._reject(module_id, directive, "Unsupported")
             return
-        if isinstance(directive, (Move, Turn, DockWith)) \
-                and (not state.posture.upright or state.off_ground):
+        if isinstance(directive, (Move, Turn, DockWith, LiftChain)) and (
+                not state.posture.upright or module_id in world.lifted
+                or isinstance(directive, LiftChain) and self._held_up(module_id)):
             self._reject(module_id, directive, "CannotMove")
             return
 
@@ -285,12 +288,12 @@ class Engine:
         elif isinstance(directive, LiftChain):
             self._dispatch_lift(module_id, directive)
         elif isinstance(directive, LowerChain):
-            if not state.lifted_chain:
+            if module_id not in world.lifted.values():
                 self._reject(module_id, directive, "BadTarget")
                 return
             self.activities[module_id] = _Lower(
                 mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
-            self.emit("LowerStart", (module_id,), {"chain": list(state.lifted_chain)})
+            self.emit("LowerStart", (module_id,), {"chain": list(world.lifted_chain(module_id))})
         elif isinstance(directive, Broadcast):
             self._pending_broadcasts.append(
                 (module_id, self._broadcast_seq, directive.payload))
@@ -351,7 +354,7 @@ class Engine:
         try:
             duration = mechanics.actuation_duration(
                 world, module_id, directive.joint, directive.target_deg,
-                chain=state.lifted_chain)
+                chain=world.lifted_chain(module_id))
         except mechanics.TorqueExceeded:
             self._reject(module_id, directive, "TorqueExceeded")
             return
@@ -360,8 +363,7 @@ class Engine:
             return
         start = (state.joint_bend_deg if directive.joint is Joint.BEND
                  else state.joint_rotation_deg)
-        self.activities[module_id] = _Actuate(
-            duration, directive.joint, directive.target_deg, start)
+        self.activities[module_id] = _Actuate(duration, directive.joint, directive.target_deg)
         name = "RotateStart" if directive.joint is Joint.ROTATION else "BendStart"
         self.emit(name, (module_id,), {
             "from_deg": start, "to_deg": directive.target_deg,
@@ -370,11 +372,8 @@ class Engine:
     def _dispatch_lift(self, module_id: str, directive: LiftChain) -> None:
         world = self.world
         state = world.modules[module_id]
-        if state.lifted_chain:
+        if module_id in world.lifted.values():
             self._reject(module_id, directive, "Busy")
-            return
-        if not state.posture.upright:
-            self._reject(module_id, directive, "CannotMove")
             return
         query = mechanics.LiftQuery(module_id, Joint.BEND, tuple(directive.chain))
         try:
@@ -385,7 +384,8 @@ class Engine:
         if not assessment.feasible:
             self._reject(module_id, directive, "TorqueExceeded")
             return
-        if any(world.modules[mid].off_ground for mid in directive.chain):
+        if any(self._held_up(mid) or mid in world.lifted.values()
+               or isinstance(self.activities.get(mid), _Lift) for mid in directive.chain):
             self._reject(module_id, directive, "BadTarget")
             return
         lift_angle = min(90.0, state.spec.bend_limit_deg)
@@ -445,7 +445,7 @@ class Engine:
             state = self.world.modules[mid]
             state.pose.x += dx
             state.pose.y += dy
-            if mechanics.can_drive(state):
+            if mechanics.can_drive(self.world, mid):
                 self._driving.add(mid)
 
     def _finish(self, module_id: str, activity: _Timed) -> None:
@@ -461,30 +461,24 @@ class Engine:
             if activity.joint is Joint.BEND:
                 state.joint_bend_deg = target
             else:
-                delta = target - activity.start_deg
+                state.lift_turn_deg += target - state.joint_rotation_deg
                 state.joint_rotation_deg = target
-                for mid in state.lifted_chain:
-                    world.modules[mid].rotation_while_lifted_deg += delta
             name = "RotateComplete" if activity.joint is Joint.ROTATION else "BendComplete"
             self.emit(name, (module_id,), {"angle_deg": target})
         elif isinstance(activity, _Lift):
             state.joint_bend_deg = activity.angle_deg
-            state.lifted_chain = activity.chain
-            for mid in activity.chain:
-                world.modules[mid].off_ground = True
-                world.modules[mid].rotation_while_lifted_deg = 0.0
+            state.lift_turn_deg = 0.0
+            world.lifted.update(dict.fromkeys(activity.chain, module_id))
             self.emit("LiftComplete", (module_id,), {"chain": list(activity.chain)})
         elif isinstance(activity, _Lower):
-            chain = state.lifted_chain
+            chain = world.lifted_chain(module_id)
             state.joint_bend_deg = 0.0
+            half_turn = abs(abs(state.lift_turn_deg) % 360.0 - 180.0) < 1e-6
             for mid in chain:
+                del world.lifted[mid]
                 member = world.modules[mid]
-                member.off_ground = False
-                rotated = abs(member.rotation_while_lifted_deg) % 360.0
-                if not member.posture.upright and abs(rotated - 180.0) < 1e-6:
+                if not member.posture.upright and half_turn:
                     member.pending_righting = True
-                member.rotation_while_lifted_deg = 0.0
-            state.lifted_chain = ()
             self.emit("LowerComplete", (module_id,), {"chain": list(chain)})
 
     # -- phase 4 --------------------------------------------------------------------
@@ -506,8 +500,7 @@ class Engine:
                 "ports": [conn.port_a, conn.port_b]})
             for mid in (conn.module_a, conn.module_b):
                 member = world.modules[mid]
-                if member.pending_righting and not member.off_ground \
-                        and not member.posture.upright:
+                if member.pending_righting and not member.posture.upright:
                     mechanics.set_posture(world, mid, UPRIGHT)
                     member.pending_righting = False
                     self.emit("PostureUpright", (mid,), {})
@@ -559,7 +552,7 @@ class Engine:
 
     def _held_up(self, module_id: str) -> bool:
         """Whether ``module_id`` hangs off the ground or in a lift under way."""
-        return self.world.modules[module_id].off_ground or any(
+        return module_id in self.world.lifted or any(
             isinstance(a, _Lift) and module_id in a.chain for a in self.activities.values())
 
     def _abort_approach(self, module_id: str, activity: _Approach, reason: str) -> None:

@@ -65,7 +65,7 @@ def build_metrics(world: World, speeds: dict, rescue_success: Optional[bool]) ->
         extra = sum(
             world.modules[mid].spec.battery.energy_full_wh
             for mid in members
-            if world.modules[mid].off_ground and world.modules[mid].sharing_on
+            if mid in world.lifted and world.modules[mid].sharing_on
         )
         report.organisms.append({
             "members": list(members),

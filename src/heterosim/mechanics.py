@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from .model import ModuleSpec, PortState, Posture, World
 
@@ -126,28 +126,28 @@ def actuation_duration(
     return joint_travel_s(spec, current, target_deg)
 
 
-def can_drive(state) -> bool:
+def can_drive(world: World, module_id: str) -> bool:
     """Whether a single module may drive its own locomotion right now."""
+    state = world.modules[module_id]
     return (
         state.posture.upright
-        and not state.off_ground
+        and module_id not in world.lifted
         and state.spec.locomotion_speed_cm_s > 0
         and state.alive
     )
 
 
-def organism_speed(world: World, organism: Iterable[str]) -> float:
+def organism_speed(world: World, organism: Collection[str]) -> float:
     """Ground speed of an organism in cm/s.
 
     The slowest ground-contact driver sets the pace; lifted members do not
     count, so in the carrying configuration the wheels run at their own
     speed. An organism with no driver does not move.
     """
-    states = [world.modules[mid] for mid in organism]
-    if not states:
+    if not organism:
         raise ValueError("organism must be nonempty")
-    return min((st.spec.locomotion_speed_cm_s for st in states if can_drive(st)),
-               default=0.0)
+    return min((world.modules[mid].spec.locomotion_speed_cm_s
+                for mid in organism if can_drive(world, mid)), default=0.0)
 
 
 def set_posture(world: World, module_id: str, posture: Posture) -> World:

@@ -269,7 +269,7 @@ class DockConnection:
 
 @dataclass
 class ModuleState:
-    """One robot's mutable situation inside a world."""
+    """One robot's mutable situation; its lifter, if any, is in ``World.lifted``."""
 
     module_id: str
     kind: ModuleKind
@@ -282,10 +282,8 @@ class ModuleState:
     sharing_on: bool = True
     load_draw_w: float = 0.0
     ports: list[DockStatus] = field(default_factory=list)
-    # Engine-managed flags for organism locomotion and rescue choreography.
-    off_ground: bool = False
-    lifted_chain: tuple[str, ...] = ()
-    rotation_while_lifted_deg: float = 0.0
+    # Engine-managed: joint turn since this module last lifted; righting owed.
+    lift_turn_deg: float = 0.0
     pending_righting: bool = False
 
     def __post_init__(self) -> None:
@@ -328,7 +326,8 @@ class World:
     place and returns the world for chaining. The organisms are cached and
     rebuilt on the first query after ``add_module``, ``add_connection`` or
     ``remove_connection``, so ``modules`` and ``connections`` must only be
-    changed through those.
+    changed through those. ``lifted`` maps each module off the ground to
+    its lifter, in chain order; the engine keeps it.
     """
 
     def __init__(self, config: SimConfig | None = None):
@@ -336,6 +335,7 @@ class World:
         self.modules: dict[str, ModuleState] = {}
         self.connections: dict[tuple[str, int, str, int], DockConnection] = {}
         self.tick: int = 0
+        self.lifted: dict[str, str] = {}
         # Cumulative energy accounting, kept by the power subsystem.
         self.delivered_load_wh: float = 0.0
         self.resistive_loss_wh: float = 0.0
@@ -451,6 +451,9 @@ class World:
                 components.append(members)
             self._organisms = (components, organism)
         return self._organisms
+
+    def lifted_chain(self, lifter: str) -> tuple[str, ...]:
+        return tuple(mid for mid, by in self.lifted.items() if by == lifter)
 
     def distance(self, a: str, b: str) -> float:
         pa, pb = self.modules[a].pose, self.modules[b].pose

@@ -189,7 +189,7 @@ class SensorMemory:
         return ModuleSnapshot(
             module_id=module_id, kind=st.kind, x=st.pose.x, y=st.pose.y,
             heading_deg=st.pose.heading_deg, fallen_port=fallen,
-            soc=st.soc, sharing_on=st.sharing_on, off_ground=st.off_ground,
+            soc=st.soc, sharing_on=st.sharing_on, off_ground=module_id in self._world.lifted,
             busy=module_id in self._busy, joint_bend_deg=st.joint_bend_deg,
             joint_rotation_deg=st.joint_rotation_deg,
             ports=tuple(

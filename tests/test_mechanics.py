@@ -160,8 +160,7 @@ def carrying_world():
 class TestOrganismSpeed:
     def test_carrying_configuration_runs_at_31(self):
         world = carrying_world()
-        world.modules["bb1"].off_ground = True
-        world.modules["bb2"].off_ground = True
+        world.lifted.update(bb1="aw1", bb2="aw2")
         assert organism_speed(world, world.modules) == 31.0
 
     def test_carrying_configuration_runs_at_wheel_spec_speed(self):
@@ -169,8 +168,7 @@ class TestOrganismSpeed:
         slow_wheel = replace(spec_for(ModuleKind.ACTIVE_WHEEL), locomotion_speed_cm_s=20.0)
         for mid in ("aw1", "aw2"):
             world.modules[mid].spec = slow_wheel
-        world.modules["bb1"].off_ground = True
-        world.modules["bb2"].off_ground = True
+        world.lifted.update(bb1="aw1", bb2="aw2")
         assert organism_speed(world, world.modules) == 20.0
 
     def test_ground_mix_runs_at_slowest(self):
@@ -203,7 +201,7 @@ class TestOrganismSpeed:
                 if i:
                     world.add_connection(DockConnection(f"m{i-1}", 1, f"m{i}", 0, 0))
                 if rng.random() < 0.3:
-                    world.modules[f"m{i}"].off_ground = True
+                    world.lifted[f"m{i}"] = "lifter"
             speed = organism_speed(world, world.modules)
             top = max(world.modules[m].spec.locomotion_speed_cm_s for m in world.modules)
             assert 0.0 <= speed <= top

@@ -579,6 +579,17 @@ class TestPowerFailurePolicies:
         assert engine.halted
 
 
+    def test_step_on_a_halted_engine_does_nothing(self):
+        # The benchmark keeps stepping a halted engine, so this must not raise.
+        world = World()
+        world.add_module("m", ModuleKind.BACKBONE, sharing_on=False)
+        engine = Engine(world, shed_policy="halt")
+        assert [e.event for e in engine.step()] == ["FatalEvent"]
+        assert engine.step() == [] and engine.step() == []
+        assert world.tick == 1
+        assert len(engine.log.events_named("FatalEvent")) == 1
+
+
 class TestPhaseOrdering:
     def test_power_is_solved_after_motion(self):
         # A module that starts driving this tick pays drive draw this tick,
@@ -609,6 +620,17 @@ def wheel_holding_backbone() -> Engine:
     return Engine(world)
 
 
+def wheels_either_side_of_a_backbone() -> Engine:
+    world = World()
+    for i, (mid, kind) in enumerate([("aw1", ModuleKind.ACTIVE_WHEEL),
+                                     ("bb", ModuleKind.BACKBONE),
+                                     ("aw2", ModuleKind.ACTIVE_WHEEL)]):
+        world.add_module(mid, kind, pos=(0.105 * i, 0.0))
+    world.add_connection(DockConnection("aw1", 0, "bb", 3, 0))
+    world.add_connection(DockConnection("bb", 1, "aw2", 0, 0))
+    return Engine(world)
+
+
 def rejections(events) -> list[tuple[tuple[str, ...], str, str]]:
     return [(e.subjects, e.data["directive"], e.data["reason"])
             for e in events if e.event == "DirectiveRejected"]
@@ -621,11 +643,11 @@ class TestLiftThroughEngine:
         engine.step([("aw", LiftChain(("bb",)))])
         for _ in range(30):
             engine.step()
-        assert world.modules["bb"].off_ground
+        assert "bb" in world.lifted
         engine.step([("aw", ActuateJoint(Joint.ROTATION, 180.0))])
         for _ in range(40):
             engine.step()
-        assert world.modules["bb"].rotation_while_lifted_deg == pytest.approx(180.0)
+        assert world.modules["aw"].lift_turn_deg == pytest.approx(180.0)
 
     def test_infeasible_lift_rejected(self):
         world = World()
@@ -649,7 +671,7 @@ class TestLiftThroughEngine:
         engine.step([("aw", LiftChain(("bb",)))])
         for _ in range(39):
             engine.step()
-        assert engine.world.modules["bb"].off_ground
+        assert "bb" in engine.world.lifted
         events = engine.step([(module_id, Undock(port))])
         assert rejections(events) == [((module_id,), "Undock", "Busy")]
         assert engine.world.connections
@@ -663,6 +685,53 @@ class TestLiftThroughEngine:
         engine.step([("aw", LiftChain(("bb",)))])
         events = engine.step([("bb", Undock(3))])
         assert rejections(events) == [(("bb",), "Undock", "Busy")]
+
+    def test_second_lifter_of_a_module_is_refused(self):
+        # Accepted, the second lift kept "bb" in the chain of "aw2" after
+        # "aw1" lowered it, and a later bend ended in a traceback.
+        engine = wheels_either_side_of_a_backbone()
+        events = engine.step([("aw1", LiftChain(("bb",))), ("aw2", LiftChain(("bb",)))])
+        assert rejections(events) == [(("aw2",), "LiftChain", "BadTarget")]
+        while engine.activities:
+            engine.step()
+        engine.step([("aw1", LowerChain())])
+        while engine.activities:
+            engine.step()
+        events = engine.step([("bb", Undock(1))])
+        assert [e.event for e in events] == ["Undocked"]
+        engine.step([("aw2", ActuateJoint(Joint.BEND, 10.0))])
+        while engine.activities:
+            engine.step()
+        assert engine.world.modules["aw2"].joint_bend_deg == 10.0
+        assert engine.world.lifted == {}
+
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_module_held_up_cannot_lift(self, finished):
+        engine = wheels_either_side_of_a_backbone()
+        engine.step([("aw1", LiftChain(("bb",)))])
+        while finished and engine.activities:
+            engine.step()
+        events = engine.step([("bb", LiftChain(("aw2",)))])
+        assert rejections(events) == [(("bb",), "LiftChain", "CannotMove")]
+        while engine.activities:
+            engine.step()
+        assert engine.world.lifted == {"bb": "aw1"}
+
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_module_holding_a_chain_cannot_be_lifted(self, finished):
+        world = World()
+        for i, (mid, kind) in enumerate([("b1", ModuleKind.BACKBONE),
+                                         ("s", ModuleKind.SCOUT),
+                                         ("b2", ModuleKind.BACKBONE)]):
+            world.add_module(mid, kind, pos=(0.105 * i, 0.0))
+        world.add_connection(DockConnection("b1", 1, "s", 3, 0))
+        world.add_connection(DockConnection("s", 1, "b2", 3, 0))
+        engine = Engine(world)
+        engine.step([("s", LiftChain(("b2",)))])
+        while finished and engine.activities:
+            engine.step()
+        events = engine.step([("b1", LiftChain(("s",)))])
+        assert rejections(events) == [(("b1",), "LiftChain", "BadTarget")]
 
     def test_undock_accepted_once_lowered(self):
         engine = wheel_holding_backbone()
