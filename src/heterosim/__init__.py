@@ -31,7 +31,7 @@ from .powerbus import (
     step_energy,
     total_available_energy,
 )
-from .commnet import Message, wired_deliver, wireless_broadcast
+from .commnet import wired_hops, wireless_broadcast
 from .mechanics import (
     Joint,
     LiftQuery,

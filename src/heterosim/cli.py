@@ -238,7 +238,6 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
     """The initial world of a custom scenario: its modules, then its
     connections, each checked by :func:`can_dock` and for adjacency."""
     world = _add_modules(World(config), script.modules)
-    limit = config.module_pitch * (1.0 + config.misalignment_tolerance)
     for i, c in enumerate(script.connections):
         where = f"connections[{i}]"
         try:
@@ -252,7 +251,7 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
             raise ValidationError(
                 f"{where}: {c['a']}:{c['port_a']}-{c['b']}:{c['port_b']} "
                 f"rejected: {reason.value}")
-        if world.distance(c["a"], c["b"]) > limit:
+        if world.distance(c["a"], c["b"]) > config.dock_reach_m:
             raise ValidationError(
                 f"{where}: {c['a']} and {c['b']} are not adjacent")
         world.add_connection(DockConnection(

@@ -7,28 +7,12 @@ losslessly and deterministically.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
 from .model import World
 
 
 class DeadBattery(Exception):
     """The sender's battery is empty; radios are down."""
-
-
-@dataclass(frozen=True)
-class Message:
-    """A payload in flight. ``dst`` set means wired unicast; ``dst`` None
-    means wireless broadcast."""
-
-    src: str
-    payload: str
-    dst: Optional[str] = None
-
-    @property
-    def wired(self) -> bool:
-        return self.dst is not None
 
 
 def wired_hops(world: World, src: str, dst: str) -> int | None:
@@ -53,17 +37,6 @@ def wired_hops(world: World, src: str, dst: str) -> int | None:
                 return seen[nxt]
             queue.append(nxt)
     return None
-
-
-def wired_deliver(world: World, msg: Message) -> int | None:
-    """Deliver a wired message; returns hop count or None if undeliverable.
-
-    Undeliverable means the endpoints are in different organisms, i.e.
-    routing would first require docking.
-    """
-    if not msg.wired:
-        raise ValueError("wired_deliver needs a message with a destination")
-    return wired_hops(world, msg.src, msg.dst)
 
 
 def wireless_broadcast(world: World, src: str, payload: str = "") -> list[str]:

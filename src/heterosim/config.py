@@ -40,6 +40,11 @@ class SimConfig:
     gravity: float = 9.81                # m/s^2
     scout_max_torque_nm: float = 4.0     # conservative rating; override if needed
 
+    @property
+    def dock_reach_m(self) -> float:
+        """Farthest center distance at which two ports still lock."""
+        return self.module_pitch * (1.0 + self.misalignment_tolerance)
+
     def validate(self) -> None:
         positive = (
             "dt", "module_pitch", "wireless_range", "dock_handshake_s",

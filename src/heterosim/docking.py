@@ -105,7 +105,7 @@ def dock(
     reason = can_dock(world, a, port_a, b, port_b, orientation_deg)
     if reason is not None:
         raise DockRejected(reason)
-    limit = world.config.module_pitch * (1.0 + world.config.misalignment_tolerance)
+    limit = world.config.dock_reach_m
     distance = world.distance(a, b)
     if distance > limit:
         raise NotAdjacent(distance, limit)
@@ -146,8 +146,6 @@ def holding_power(connection: DockConnection) -> float:
     The worm-gear lock is self-holding, so a closed link never contributes
     to any energy step.
     """
-    if not connection.locked:
-        raise NoSuchConnection("connection is not locked")
     return 0.0
 
 

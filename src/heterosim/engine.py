@@ -13,8 +13,9 @@ organism at most one move or approach, at its ground speed. An
 approach reserves the initiator's port (approaching -> aligned -> locked);
 the peer's port is only taken at alignment, so two approaches to one port
 are settled there and the later one aborts with ``PortBusy``. A module held
-up by a lift, done or under way, neither lifts nor undocks, and no lift takes
-a module held up or holding a chain. Once halted, ``step`` does nothing.
+up by a lift, done or under way, neither lifts, docks nor undocks, no module
+docks onto it, and no lift takes a module held up or holding a chain. Once
+halted, ``step`` does nothing.
 """
 from __future__ import annotations
 
@@ -132,8 +133,7 @@ class Engine:
         self.halted = False
         self._timeline_pos = 0
         self._tick_events: list[Event] = []
-        self._pending_broadcasts: list[tuple[str, int, str]] = []  # (src, enqueue seq, payload)
-        self._broadcast_seq = 0
+        self._pending_broadcasts: list[tuple[str, str]] = []  # (src, payload), in dispatch order
         self._inboxes: dict[str, list[ReceivedMessage]] = {}
         self._driving: set[str] = set()
         self.memory.refresh(world, set(), {})
@@ -161,7 +161,7 @@ class Engine:
         return self.log
 
     def _work_pending(self) -> bool:
-        if self.activities or self._pending_broadcasts:
+        if self.activities:
             return True
         if self._timeline_pos < len(self.timeline):
             return True
@@ -295,9 +295,7 @@ class Engine:
                 mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
             self.emit("LowerStart", (module_id,), {"chain": list(world.lifted_chain(module_id))})
         elif isinstance(directive, Broadcast):
-            self._pending_broadcasts.append(
-                (module_id, self._broadcast_seq, directive.payload))
-            self._broadcast_seq += 1
+            self._pending_broadcasts.append((module_id, directive.payload))
         elif isinstance(directive, Wait):
             self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
 
@@ -335,6 +333,9 @@ class Engine:
         if distance > self.config.module_pitch + _EPS \
                 and state.spec.locomotion_speed_cm_s <= 0:
             self._reject(module_id, directive, "CannotMove")
+            return
+        if self._held_up(module_id) or self._held_up(directive.peer):
+            self._reject(module_id, directive, "Busy")
             return
         claimed_ports.add(own_key)
         claimed_ports.add(peer_key)
@@ -512,8 +513,7 @@ class Engine:
         own_port = world.modules[module_id].ports[activity.own_port]
         peer_port = world.modules[peer].ports[activity.peer_port]
         if own_port.state is not PortState.ALIGNED:
-            limit = self.config.module_pitch * (1.0 + self.config.misalignment_tolerance)
-            if distance <= limit + _EPS:
+            if distance <= self.config.dock_reach_m + _EPS:
                 # The initiator's port is reserved by this very approach;
                 # lift the reservation for the compatibility re-check.
                 own_port.state = PortState.FREE
@@ -540,6 +540,9 @@ class Engine:
             peer_port.state = PortState.FREE
             peer_port.peer = None
         del self.activities[module_id]
+        if self._held_up(module_id) or self._held_up(peer):
+            self.emit("DockAborted", (module_id,), {"reason": "Busy"})
+            return
         try:
             docking.dock(world, module_id, activity.own_port, peer, activity.peer_port,
                          activity.orientation_deg)
@@ -598,7 +601,7 @@ class Engine:
 
     def _deliver_messages(self) -> None:
         world = self.world
-        for src, _seq, payload in sorted(self._pending_broadcasts):
+        for src, payload in self._pending_broadcasts:
             try:
                 receivers = commnet.wireless_broadcast(world, src, payload)
             except commnet.DeadBattery:

@@ -238,7 +238,6 @@ class DockConnection:
     module_b: str
     port_b: int
     orientation_deg: int = 0
-    locked: bool = True
 
     def __post_init__(self) -> None:
         if self.orientation_deg not in ORIENTATIONS:

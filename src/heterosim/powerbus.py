@@ -233,60 +233,6 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     return None
 
 
-def port_currents(world: World, solution: BusSolution) -> dict[str, list[float]]:
-    """Signed current through each port of each member (+ = outflow).
-
-    Each module's net injection is distributed over a spanning tree of the
-    organism's docking graph; the single-node model leaves per-port flow
-    free, so this picks the deterministic tree assignment. Nothing in the
-    simulation reads these; they are computed only when asked for.
-    """
-    members = solution.organism
-    currents = {mid: [0.0] * world.modules[mid].spec.num_ports for mid in members}
-    if solution.bus_voltage <= 0 or len(members) == 1:
-        return currents
-    member_set = set(members)
-    edges = [
-        conn for conn in world.connections.values()
-        if conn.module_a in member_set and conn.module_b in member_set
-    ]
-    neighbors: dict[str, list[tuple[str, int, int]]] = {mid: [] for mid in members}
-    for conn in sorted(edges, key=lambda c: c.key):
-        neighbors[conn.module_a].append((conn.module_b, conn.port_a, conn.port_b))
-        neighbors[conn.module_b].append((conn.module_a, conn.port_b, conn.port_a))
-
-    root = members[0]
-    parent: dict[str, tuple[str, int, int] | None] = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        current = queue.pop(0)
-        for nxt, own_port, peer_port in sorted(neighbors[current]):
-            if nxt in parent:
-                continue
-            parent[nxt] = (current, own_port, peer_port)  # (parent, parent port, child port)
-            order.append(nxt)
-            queue.append(nxt)
-
-    net = {
-        mid: solution.supplier_current[mid]
-        - solution.load_current[mid]
-        - solution.charge_current[mid]
-        for mid in members
-    }
-    subtree = dict(net)
-    for mid in reversed(order):
-        link = parent.get(mid)
-        if link is None:
-            continue
-        up, parent_port, child_port = link
-        flow = subtree[mid]  # surplus flowing from child toward the root
-        currents[mid][child_port] += flow
-        currents[up][parent_port] -= flow
-        subtree[up] += flow
-    return currents
-
-
 def step_energy(world: World, dt: float) -> World:
     """Advance every organism's batteries by ``dt`` seconds.
 

@@ -208,7 +208,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("pair", [
         "dt=nan", "dt=inf", "wireless_range=nan", "idle_draw_w=nan",
-        "per_hop_latency_ticks=1", "bus_tolerance_v=1e-6",
+        "per_hop_latency_ticks=1", "bus_tolerance_v=1e-6", "dock_reach_m=0.2",
     ])
     def test_non_finite_or_removed_override_exits_1(self, tmp_path, capsys, pair):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})

@@ -6,8 +6,6 @@ import pytest
 
 from heterosim.commnet import (
     DeadBattery,
-    Message,
-    wired_deliver,
     wired_hops,
     wireless_broadcast,
 )
@@ -26,21 +24,16 @@ def build_chain(n):
 class TestWiredDelivery:
     def test_self_delivery_is_zero_hops(self):
         world = build_chain(1)
-        assert wired_deliver(world, Message("m0", "x", dst="m0")) == 0
+        assert wired_hops(world, "m0", "m0") == 0
 
     def test_chain_hop_count(self):
         world = build_chain(3)
-        assert wired_deliver(world, Message("m0", "x", dst="m2")) == 2
+        assert wired_hops(world, "m0", "m2") == 2
 
     def test_cross_organism_is_undeliverable(self):
         world = build_chain(2)
         world.add_module("far", ModuleKind.SCOUT, pos=(3.0, 0.0))
-        assert wired_deliver(world, Message("m0", "x", dst="far")) is None
-
-    def test_broadcast_message_rejected(self):
-        world = build_chain(1)
-        with pytest.raises(ValueError):
-            wired_deliver(world, Message("m0", "x"))
+        assert wired_hops(world, "m0", "far") is None
 
     def test_hops_symmetric(self):
         world = build_chain(5)

@@ -19,7 +19,6 @@ from heterosim.powerbus import (
     NoSupplier,
     PowerBusError,
     open_circuit_voltage,
-    port_currents,
     solve_bus,
     step_energy,
     total_available_energy,
@@ -287,21 +286,6 @@ class TestBusInvariants:
                 continue
             if before is not None:
                 assert after >= before - 1e-9
-
-    def test_port_currents_balance_each_module(self):
-        world = chain_organism([
-            {"soc": 1.0, "sharing": True},
-            {"soc": 0.4, "sharing": False, "load": 10.0},
-            {"kind": ModuleKind.PASSIVE, "load": 20.0},
-        ])
-        solution = solve_bus(world)
-        currents = port_currents(world, solution)
-        for mid in solution.organism:
-            net = (solution.supplier_current[mid]
-                   - solution.load_current[mid]
-                   - solution.charge_current[mid])
-            outflow = sum(currents[mid])
-            assert outflow == pytest.approx(net, abs=1e-9)
 
 
 def source_balance(suppliers, chargers, load_w, v):

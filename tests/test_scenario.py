@@ -1,7 +1,7 @@
 """Directive dispatch, engine phase behavior, sensor delay, determinism."""
 import pytest
 
-from heterosim import scenario
+from heterosim import mechanics, scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
 from heterosim.mechanics import Joint, set_posture
@@ -611,6 +611,16 @@ class TestPhaseOrdering:
         docked = log.events_named("Docked")[0]
         assert docked.t - aligned.t == pytest.approx(CFG.dock_handshake_s)
 
+    def test_broadcasts_go_out_by_module_then_issue_order(self):
+        world = World()
+        world.add_module("a", ModuleKind.SCOUT)
+        world.add_module("b", ModuleKind.SCOUT, pos=(1.0, 0.0))
+        engine = Engine(world)
+        events = engine.step([("b", Broadcast("2")), ("a", Broadcast("1")),
+                              ("b", Broadcast("3"))])
+        payloads = [e.data["payload"] for e in events if e.event == "Broadcast"]
+        assert payloads == ["1", "2", "3"]
+
 
 def wheel_holding_backbone() -> Engine:
     world = World()
@@ -628,6 +638,15 @@ def wheels_either_side_of_a_backbone() -> Engine:
         world.add_module(mid, kind, pos=(0.105 * i, 0.0))
     world.add_connection(DockConnection("aw1", 0, "bb", 3, 0))
     world.add_connection(DockConnection("bb", 1, "aw2", 0, 0))
+    return Engine(world)
+
+
+def wheel_and_backbone_with_a_scout_nearby() -> Engine:
+    world = World()
+    world.add_module("aw1", ModuleKind.ACTIVE_WHEEL, pos=(0.0, 0.0))
+    world.add_module("bb", ModuleKind.BACKBONE, pos=(0.105, 0.0))
+    world.add_module("s", ModuleKind.SCOUT, pos=(0.105, 0.3))
+    world.add_connection(DockConnection("aw1", 1, "bb", 3, 0))
     return Engine(world)
 
 
@@ -744,3 +763,34 @@ class TestLiftThroughEngine:
         events = engine.step([("aw", Undock(0))])
         assert [e.event for e in events] == ["Undocked"]
         assert not engine.world.connections
+
+    def test_no_dock_onto_a_module_held_up(self):
+        # Accepted, the Scout docked at tick 76 and the organism ran at the
+        # Scout's 12.5 cm/s, hanging from a lifted Backbone.
+        engine = wheel_and_backbone_with_a_scout_nearby()
+        engine.step([("aw1", LiftChain(("bb",)))])
+        while engine.world.tick < 41:
+            engine.step()
+        events = engine.step([("s", DockWith("bb", 0, 2))])
+        assert rejections(events) == [(("s",), "DockWith", "Busy")]
+        for _ in range(60):
+            engine.step()
+        assert not engine.log.events_named("Docked")
+        assert engine.world.organism_of("aw1") == ("aw1", "bb")
+
+    def test_approach_ends_busy_when_its_peer_is_lifted(self):
+        engine = wheel_and_backbone_with_a_scout_nearby()
+        engine.step([("s", DockWith("bb", 0, 2))])
+        engine.step([("aw1", LiftChain(("bb",)))])
+        for _ in range(60):
+            engine.step()
+        aborted = engine.log.events_named("DockAborted")
+        assert [(e.tick, e.subjects, e.data) for e in aborted] == [
+            (35, ("s",), {"reason": "Busy"})]
+        assert not engine.log.events_named("Docked")
+        world = engine.world
+        assert world.modules["s"].ports[0].state is PortState.FREE
+        assert world.modules["bb"].ports[2].state is PortState.FREE
+        members = world.organism_of("aw1")
+        assert members == ("aw1", "bb")
+        assert mechanics.organism_speed(world, members) == 31.0
