@@ -290,6 +290,9 @@ def _gather_overrides(set_args: list[str]) -> dict:
 def run(scenario_path: str, out_path: str, report_path: str,
         overrides: dict, verbose: bool) -> int:
     """Execute one scenario; returns the process exit status."""
+    if Path(out_path).resolve() == Path(report_path).resolve():
+        print(f"error: --out and --report both name {out_path}", file=sys.stderr)
+        return 1
     try:
         script = load_scenario(scenario_path)
         config = SimConfig()
@@ -302,8 +305,12 @@ def run(scenario_path: str, out_path: str, report_path: str,
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    Path(out_path).write_text(log.to_jsonl())
-    Path(report_path).write_text(report.to_json())
+    try:
+        Path(out_path).write_text(log.to_jsonl())
+        Path(report_path).write_text(report.to_json())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if verbose:
         for record in log.records:
             print(record.to_json())

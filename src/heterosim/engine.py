@@ -412,14 +412,15 @@ class Engine:
                 self._finish(module_id, activity)
         elif isinstance(activity, _Move):
             members = world.organism_of(module_id)
-            speed_cm = mechanics.organism_speed(world, members)
+            speed_cm, drivers = mechanics.ground_drive(world, members)
             if speed_cm <= 0:
                 del self.activities[module_id]
                 self.emit("MoveAborted", (module_id,), {"reason": "CannotMove"})
                 return
             step = min(speed_cm / 100.0 * dt, activity.remaining_m)
             heading = math.radians(state.pose.heading_deg)
-            self._translate(members, step * math.cos(heading), step * math.sin(heading))
+            self._translate(members, drivers, step * math.cos(heading),
+                            step * math.sin(heading))
             activity.remaining_m -= step
             if activity.remaining_m <= _EPS:
                 del self.activities[module_id]
@@ -430,24 +431,25 @@ class Engine:
             if to_travel > _EPS \
                     and state.ports[activity.own_port].state is not PortState.ALIGNED:
                 members = world.organism_of(module_id)
-                speed_cm = mechanics.organism_speed(world, members)
+                speed_cm, drivers = mechanics.ground_drive(world, members)
                 if speed_cm <= 0:
                     self._abort_approach(module_id, activity, "CannotMove")
                     return
                 step = min(speed_cm / 100.0 * dt, to_travel)
                 peer_pose = world.modules[activity.peer].pose
                 norm = max(distance, 1e-12)
-                self._translate(members, (peer_pose.x - state.pose.x) / norm * step,
+                self._translate(members, drivers,
+                                (peer_pose.x - state.pose.x) / norm * step,
                                 (peer_pose.y - state.pose.y) / norm * step)
 
-    def _translate(self, members: tuple[str, ...], dx: float, dy: float) -> None:
-        """Carry the whole organism by (dx, dy); its grounded drivers draw power."""
+    def _translate(self, members: tuple[str, ...], drivers: list[str],
+                   dx: float, dy: float) -> None:
+        """Carry the whole organism by (dx, dy); its drivers draw drive power."""
         for mid in members:
-            state = self.world.modules[mid]
-            state.pose.x += dx
-            state.pose.y += dy
-            if mechanics.can_drive(self.world, mid):
-                self._driving.add(mid)
+            pose = self.world.modules[mid].pose
+            pose.x += dx
+            pose.y += dy
+        self._driving.update(drivers)
 
     def _finish(self, module_id: str, activity: _Timed) -> None:
         """Apply the effect of a timed activity whose time has run out."""
@@ -570,11 +572,10 @@ class Engine:
 
     def _energy_phase(self) -> None:
         world = self.world
-        for mid in sorted(world.modules):
-            state = world.modules[mid]
-            draw = self.config.idle_draw_w
-            if mid in self._driving:
-                draw += self.config.drive_draw_w
+        idle_w = self.config.idle_draw_w
+        driving_w = idle_w + self.config.drive_draw_w
+        for mid, state in world.modules.items():
+            draw = driving_w if mid in self._driving else idle_w
             state.load_draw_w = draw if state.alive else 0.0
         shed: set[tuple[str, ...]] = set()  # shed once each; failing again halts
         while True:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .model import ModuleSpec, PortState, Posture, World
 
@@ -126,28 +126,27 @@ def actuation_duration(
     return joint_travel_s(spec, current, target_deg)
 
 
-def can_drive(world: World, module_id: str) -> bool:
-    """Whether a single module may drive its own locomotion right now."""
-    state = world.modules[module_id]
-    return (
-        state.posture.upright
-        and module_id not in world.lifted
-        and state.spec.locomotion_speed_cm_s > 0
-        and state.alive
-    )
+def ground_drive(world: World, organism: Iterable[str]) -> tuple[float, list[str]]:
+    """An organism's ground speed in cm/s and the members that drive it.
+
+    A driver is a member that may drive its own locomotion right now:
+    upright, not lifted, alive and fitted with a drive. The slowest driver
+    sets the pace, so in the carrying configuration the wheels run at their
+    own speed. An organism with no driver does not move.
+    """
+    modules, lifted = world.modules, world.lifted
+    drivers = [mid for mid in organism
+               if (st := modules[mid]).posture.upright and mid not in lifted
+               and st.spec.locomotion_speed_cm_s > 0 and st.alive]
+    return min([modules[mid].spec.locomotion_speed_cm_s for mid in drivers],
+               default=0.0), drivers
 
 
 def organism_speed(world: World, organism: Collection[str]) -> float:
-    """Ground speed of an organism in cm/s.
-
-    The slowest ground-contact driver sets the pace; lifted members do not
-    count, so in the carrying configuration the wheels run at their own
-    speed. An organism with no driver does not move.
-    """
+    """Ground speed of an organism in cm/s; see :func:`ground_drive`."""
     if not organism:
         raise ValueError("organism must be nonempty")
-    return min((world.modules[mid].spec.locomotion_speed_cm_s
-                for mid in organism if can_drive(world, mid)), default=0.0)
+    return ground_drive(world, organism)[0]
 
 
 def set_posture(world: World, module_id: str, posture: Posture) -> World:

@@ -98,27 +98,29 @@ def solve_bus(
     # Sources are (module id, open-circuit voltage, internal resistance).
     suppliers: list[tuple[str, float, float]] = []
     chargers: list[tuple[str, float, float]] = []
-    loads: list[float] = []
+    loads: dict[str, float] = {}  # the members drawing power, in member order
     v_lo, v_hi = math.inf, -math.inf
     for mid in members:
         st = world.modules[mid]
         battery = st.spec.battery
         full = battery.energy_full_wh
+        soc = st.soc
         # A drained pack takes the module down; battery-less blocks stay on the bus.
         watts = st.load_draw_w
-        loads.append(watts if watts > 0.0 and (full <= 0 or st.soc > 0.0) else 0.0)
+        if watts > 0.0 and (full <= 0 or soc > 0.0):
+            loads[mid] = watts
         if full <= 0:
             continue
-        stored = st.stored_wh
+        stored = soc * full
         if st.sharing_on:
             if stored > 0 and stored >= min_supplier_stored_wh:
-                v_oc = battery.voltage(st.soc)
-                v_hi = max(v_hi, v_oc)
-                v_lo = min(v_lo, battery.v_empty)
+                v_oc = battery.voltage(soc)
+                v_hi = v_oc if v_oc > v_hi else v_hi
+                v_lo = battery.v_empty if battery.v_empty < v_lo else v_lo
                 suppliers.append((mid, v_oc, battery.internal_resistance))
         elif cfg.recharge_enabled and stored <= full - charge_headroom_wh:
-            chargers.append((mid, battery.voltage(st.soc), battery.internal_resistance))
-    total_load_w = math.fsum(loads)
+            chargers.append((mid, battery.voltage(soc), battery.internal_resistance))
+    total_load_w = math.fsum(loads.values())
 
     if not suppliers:
         if total_load_w > 0:
@@ -139,9 +141,8 @@ def solve_bus(
             f"demand {total_load_w:.3f} W exceeds limited supply", members)
 
     solution = _zero_solution(members, v_star)
-    for mid, watts in zip(members, loads):
-        if watts > 0:
-            solution.load_current[mid] = watts / v_star
+    for mid, watts in loads.items():
+        solution.load_current[mid] = watts / v_star
     for mid, v_oc, r in suppliers:
         x = (v_oc - v_star) / r
         current = limit if x > limit else 0.0 if x < 0.0 else x
@@ -179,21 +180,26 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     already returned as open circuit.
     """
     def balance(v: float) -> float:
-        supply = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
-                            for _, v_oc, r in suppliers])
-        charge = math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
-                            for _, v_oc, r in chargers])
-        return supply - load_w / v - charge
+        net = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
+                         for _, v_oc, r in suppliers]) - load_w / v
+        if chargers:
+            net -= math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
+                              for _, v_oc, r in chargers])
+        return net
 
+    # Each source's breakpoints, and its linear terms v_oc/R and 1/R divided
+    # out once.
     points = {v_lo, v_hi}
-    points.update([v_oc for _, v_oc, _ in suppliers],
-                  [v_oc - limit * r for _, v_oc, r in suppliers],
-                  [v_oc for _, v_oc, _ in chargers],
-                  [v_oc + cap * r for _, v_oc, r in chargers])
+    linear_suppliers, linear_chargers = [], []
+    for _, v_oc, r in suppliers:
+        points.add(v_oc)
+        points.add(v_oc - limit * r)
+        linear_suppliers.append((v_oc, r, v_oc / r, 1.0 / r))
+    for _, v_oc, r in chargers:
+        points.add(v_oc)
+        points.add(v_oc + cap * r)
+        linear_chargers.append((v_oc, r, v_oc / r, 1.0 / r))
     breakpoints = sorted([p for p in points if v_lo <= p <= v_hi])
-    # Each source's linear terms, v_oc/R and 1/R, divided out once.
-    linear_suppliers = [(v_oc, r, v_oc / r, 1.0 / r) for _, v_oc, r in suppliers]
-    linear_chargers = [(v_oc, r, v_oc / r, 1.0 / r) for _, v_oc, r in chargers]
 
     # Scan from the top. The balance is negative at the top of each segment
     # reached, so a segment with B <= 0 (balance rising with v) or without
@@ -253,7 +259,7 @@ def step_energy(world: World, dt: float) -> World:
     # gives the largest reserve and headroom of any member.
     solutions = []
     for members in connected_components(world):
-        v_full = max(world.modules[mid].spec.battery.v_full for mid in members)
+        v_full = max([world.modules[mid].spec.battery.v_full for mid in members])
         solutions.append(solve_bus(
             world,
             members,
@@ -269,14 +275,10 @@ def step_energy(world: World, dt: float) -> World:
                 solution.organism, solution.supplier_current.values(),
                 solution.charge_current.values(), solution.load_current.values()):
             if exported > 0:
-                st = world.modules[mid]
-                v_oc = st.spec.battery.voltage(st.soc)
-                st.set_stored_wh(st.stored_wh - v_oc * exported * hours)
+                v_oc = world.modules[mid].discharge(exported, hours)
                 loss += (v_oc - v) * exported * hours
             elif intake > 0:
-                st = world.modules[mid]
-                v_oc = st.spec.battery.voltage(st.soc)
-                st.set_stored_wh(st.stored_wh + v_oc * intake * hours)
+                v_oc = world.modules[mid].discharge(-intake, hours)
                 loss += (v - v_oc) * intake * hours
             if current > 0:
                 delivered += current * v * hours

@@ -182,6 +182,28 @@ class TestRunCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["out", "report"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, bad):
+        # --out in a missing directory, or --report naming a directory.
+        paths = {"out": str(tmp_path / "e.jsonl"), "report": str(tmp_path / "r.json")}
+        paths[bad] = str(tmp_path / "missing" / "x.jsonl") if bad == "out" else str(tmp_path)
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        code = main(["run", "--scenario", scenario,
+                     "--out", paths["out"], "--report", paths["report"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_same_out_and_report_path_exits_1_before_running(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        same = tmp_path / "same.json"
+        code = main(["run", "--scenario", scenario,
+                     "--out", str(same), "--report", str(tmp_path / "." / "same.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not same.exists()
+
     def test_rescuer_out_of_range_exits_2(self, tmp_path):
         scenario = write(tmp_path, "s.json", {
             "builtin": "rescue", "params": {"rescuer_distance_m": 2.5}})

@@ -1,4 +1,7 @@
 """Directive dispatch, engine phase behavior, sensor delay, determinism."""
+import hashlib
+import random
+
 import pytest
 
 from heterosim import mechanics, scenario
@@ -620,6 +623,74 @@ class TestPhaseOrdering:
                               ("b", Broadcast("3"))])
         payloads = [e.data["payload"] for e in events if e.event == "Broadcast"]
         assert payloads == ["1", "2", "3"]
+
+
+def add_carrier(world: World, ids: tuple[str, str, str, str], y: float = 0.0,
+                socs: tuple[float, ...] = (1.0,) * 4) -> tuple[str, str, str, str]:
+    """Dock a wheel-backbone-backbone-wheel organism along x at height ``y``."""
+    kinds = (ModuleKind.ACTIVE_WHEEL, ModuleKind.BACKBONE,
+             ModuleKind.BACKBONE, ModuleKind.ACTIVE_WHEEL)
+    for k, (mid, kind, soc) in enumerate(zip(ids, kinds, socs)):
+        world.add_module(mid, kind, pos=(0.105 * k, y), soc=soc)
+    world.add_connection(DockConnection(ids[0], 0, ids[1], 3, 0))
+    world.add_connection(DockConnection(ids[1], 1, ids[2], 3, 0))
+    world.add_connection(DockConnection(ids[2], 1, ids[3], 0, 0))
+    return ids
+
+
+class TestDriveDraw:
+    """While an organism moves, only its grounded drivers draw drive power."""
+
+    @staticmethod
+    def _draws_after_one_moving_step(lifted: bool) -> dict[str, float]:
+        world = World()
+        aw1, bb1, bb2, aw2 = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"))
+        if lifted:
+            world.lifted.update({bb1: aw1, bb2: aw2})
+        Engine(world).step([(aw1, Move(1.0))])
+        return {mid: st.load_draw_w for mid, st in world.modules.items()}
+
+    def test_lifted_backbones_draw_idle_only(self):
+        assert self._draws_after_one_moving_step(lifted=True) == {
+            "aw1": 5.5, "bb1": 0.5, "bb2": 0.5, "aw2": 5.5}
+
+    def test_every_grounded_member_drives(self):
+        assert self._draws_after_one_moving_step(lifted=False) == {
+            "aw1": 5.5, "bb1": 5.5, "bb2": 5.5, "aw2": 5.5}
+
+
+#: sha256 of every module's soc, pose and load draw and both energy ledgers
+#: after each of 50 engine steps of the world below, as computed when drive
+#: draw, bus solve and battery update first ran through ``Engine.step``. Any
+#: float that moves, even by one ulp, moves it.
+ENGINE_DIGEST = "00256d52c4ed9b38b690a9349c70316bdbe5f819f7d62ec3eb6965edd9526c53"
+
+
+class TestEngineEnergyDigest:
+    def test_moving_organisms_are_bit_identical(self):
+        rng = random.Random(15)
+        world = World()
+        timeline = []
+        for o in range(6):
+            ids = add_carrier(world, tuple(f"o{o}{name}" for name in ("aw1", "bb1", "bb2", "aw2")),
+                              y=0.5 * o, socs=tuple(rng.uniform(0.3, 1.0) for _ in range(4)))
+            # Organism 0 carries its Backbones, so only a wheel can move it.
+            mover = ids[rng.choice((0, 3))] if o == 0 else rng.choice(ids)
+            timeline.append(TimelineEntry(rng.randrange(3), mover, Move(5.0)))
+        world.lifted.update(o0bb1="o0aw1", o0bb2="o0aw2")
+        # Organism 1 recharges a low, switched-off Backbone.
+        world.modules["o1bb2"].soc = 0.1
+        world.modules["o1bb2"].sharing_on = False
+        world.add_module("lone", ModuleKind.SCOUT, pos=(-1.0, -1.0), soc=rng.uniform(0.3, 1.0))
+        engine = Engine(world, timeline=timeline)
+        digest = hashlib.sha256()
+        for _ in range(50):
+            engine.step()
+            line = repr(([(st.soc, st.pose, st.load_draw_w) for st in world.modules.values()],
+                         world.delivered_load_wh, world.resistive_loss_wh))
+            digest.update(line.encode() + b"\n")
+        assert not engine.halted and len(engine.activities) == 6
+        assert digest.hexdigest() == ENGINE_DIGEST
 
 
 def wheel_holding_backbone() -> Engine:
