@@ -97,8 +97,6 @@ def load_scenario(path: str | Path) -> ScenarioScript:
         script.max_ticks = json_int(raw.get("max_ticks", script.max_ticks), "'max_ticks'")
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    if script.dt is not None and script.dt <= 0:
-        raise ValidationError(f"'dt' must be > 0, got {script.dt}")
     if script.max_ticks <= 0:
         raise ValidationError("'max_ticks' must be > 0")
     script.shed_policy = raw.get("shed_policy", "halt")
@@ -259,6 +257,11 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
     return world
 
 
+def _scenario_config(script: ScenarioScript) -> SimConfig:
+    """The default config with the scenario's ``dt``, which it checks."""
+    return SimConfig().with_overrides({} if script.dt is None else {"dt": script.dt})
+
+
 def _check_param_ranges(script: ScenarioScript, config: SimConfig) -> None:
     """Refuse a builtin param below its least value, which the pitch sets."""
     takes = BUILTINS[script.builtin].params if script.builtin else {}
@@ -295,20 +298,22 @@ def run(scenario_path: str, out_path: str, report_path: str,
         return 1
     try:
         script = load_scenario(scenario_path)
-        config = SimConfig()
-        if script.dt is not None:
-            config = config.with_overrides({"dt": script.dt})
-        config = config.with_overrides(overrides)
+        config = _scenario_config(script).with_overrides(overrides)
         _check_param_ranges(script, config)
         log, report, success = _execute(script, config)
     except (ParseError, ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    opened: list[str] = []
     try:
-        Path(out_path).write_text(log.to_jsonl())
-        Path(report_path).write_text(report.to_json())
+        for path, text in ((out_path, log.to_jsonl()), (report_path, report.to_json())):
+            with open(path, "w") as file:
+                opened.append(path)
+                file.write(text)
     except OSError as exc:
+        for path in opened:  # leave neither output behind, nor half of one
+            Path(path).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if verbose:
@@ -370,10 +375,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "validate":
         try:
             script = load_scenario(args.scenario)
-            _check_param_ranges(script, SimConfig())
+            config = _scenario_config(script)
+            _check_param_ranges(script, config)
             if script.builtin is None:
-                build_world_from_script(script, SimConfig())
-        except (ParseError, ValidationError) as exc:
+                build_world_from_script(script, config)
+        except (ParseError, ValidationError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         what = script.builtin or f"{len(script.modules)} modules"

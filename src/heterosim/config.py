@@ -15,10 +15,15 @@ class ConfigError(ValueError):
     """Raised when an override name or value is invalid."""
 
 
+#: The longest tick, in seconds: one hour. Event times are ``tick * dt``, so
+#: this keeps them finite up to tick 4e304, beyond any run.
+MAX_DT_S = 3600.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     # Engine timing
-    dt: float = 0.1                      # seconds per tick
+    dt: float = 0.1                      # seconds per tick, at most MAX_DT_S
     # Arena geometry
     module_pitch: float = 0.105          # m, center-to-center distance of docked modules
     misalignment_tolerance: float = 0.05 # extra fraction of pitch tolerated when locking
@@ -46,8 +51,10 @@ class SimConfig:
         return self.module_pitch * (1.0 + self.misalignment_tolerance)
 
     def validate(self) -> None:
+        if not 0 < self.dt <= MAX_DT_S:
+            raise ConfigError(f"dt must be > 0 and at most {MAX_DT_S:g} s, got {self.dt}")
         positive = (
-            "dt", "module_pitch", "wireless_range", "dock_handshake_s",
+            "module_pitch", "wireless_range", "dock_handshake_s",
             "current_limit_a", "recharge_max_a", "gravity", "scout_max_torque_nm",
         )
         for name in positive:

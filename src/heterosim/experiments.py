@@ -1,13 +1,16 @@
 """The two built-in experiments: organism assembly and rescue of a fallen module.
 
-Both are fixed choreographies driven by small controllers that read only
-sensor memory, so every observation arrives with the engine's one-tick
+Both are fixed choreographies. Each part is a generator script, run one
+step per tick by the one controller class, :class:`Choreography`; it reads
+only sensor memory, so every observation arrives with the engine's one-tick
 delay and the resulting logs are fully deterministic.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import mechanics, powerbus
@@ -33,7 +36,6 @@ from .scenario import (
     Undock,
     _jsonable,
 )
-from .mechanics import Joint
 
 
 @dataclass
@@ -81,61 +83,86 @@ def build_metrics(world: World, speeds: dict, rescue_success: Optional[bool]) ->
     return report
 
 
+class Choreography:
+    """One part of a built-in experiment, as the engine's controller.
+
+    ``script(self, *args)`` is a generator that yields once per tick. It
+    reads ``memory`` and acts through ``issue`` and ``emit``, as the engine
+    last handed them to ``on_tick``. A script that returns a failure reason,
+    or a tick past ``deadline_ticks`` (reason ``Timeout``), ends the part
+    with ``RescueInfeasible`` for ``module_id``; a script that returns None
+    ends it done and not failed.
+    """
+
+    def __init__(self, module_id: Optional[str], script, *args,
+                 deadline_ticks: float = math.inf):
+        self.module_id = module_id
+        self.deadline_ticks = deadline_ticks
+        self.done = self.failed = False
+        self._script = script(self, *args)
+
+    def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
+        self.memory, self.issue, self.emit = memory, issue, emit
+        try:
+            if tick <= self.deadline_ticks:
+                next(self._script)
+                return
+            reason = "Timeout"
+        except StopIteration as end:
+            reason = end.value
+        if reason is not None:
+            emit("RescueInfeasible", (self.module_id,), {"reason": reason})
+            self.failed = True
+        self.done = True
+        # The engine keeps its controllers: hold no callback of it, nor the script.
+        del self.memory, self.issue, self.emit, self._script
+
+
+def _until(ready: Callable[[], object]):
+    """Wait from the next tick until ``ready()`` holds."""
+    yield
+    while not ready():
+        yield
+
+
+def _locked_to(snap, peer: str) -> bool:
+    return any(p.state == "locked" and p.peer == peer for p in snap.ports)
+
+
 # -- assembly -------------------------------------------------------------------
 
 
-class AssemblyCoordinator:
+def _assembly(part: Choreography, aw1: str, aw2: str, bb1: str, bb2: str):
     """Drives four robots through the assembly choreography: one wheel docks
     to the pre-connected pair, the fourth robot docks, the organism drives,
     lifts its middle modules, and drives again on wheels alone."""
+    get = part.memory.get
+    part.issue(aw1, DockWith(bb1, own_port=0, peer_port=3))
+    yield from _until(lambda: _locked_to(get(aw1), bb1))
+    part.issue(aw2, DockWith(bb2, own_port=0, peer_port=1))
+    yield from _until(lambda: _locked_to(get(aw2), bb2))
+    part.emit("OrganismAssembled", (aw1, aw2, bb1, bb2), {})
+    part.issue(bb1, Move(0.06))
+    yield from _until(lambda: not get(bb1).busy)
+    part.issue(aw1, LiftChain((bb1,)))
+    part.issue(aw2, LiftChain((bb2,)))
+    yield from _until(lambda: get(bb1).off_ground and get(bb2).off_ground)
+    part.issue(aw1, Move(0.31))
+    yield from _until(lambda: not get(aw1).busy)
 
-    def __init__(self, aw1: str, aw2: str, bb1: str, bb2: str):
-        self.aw1, self.aw2, self.bb1, self.bb2 = aw1, aw2, bb1, bb2
-        self.stage = "dock_first_wheel"
-        self.done = False
 
-    def _locked_to(self, memory: SensorMemory, mid: str, peer: str) -> bool:
-        snap = memory.get(mid)
-        return any(p.state == "locked" and p.peer == peer for p in snap.ports)
-
-    def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
-        if self.stage == "dock_first_wheel":
-            issue(self.aw1, DockWith(self.bb1, own_port=0, peer_port=3))
-            self.stage = "wait_first_dock"
-        elif self.stage == "wait_first_dock":
-            if self._locked_to(memory, self.aw1, self.bb1):
-                issue(self.aw2, DockWith(self.bb2, own_port=0, peer_port=1))
-                self.stage = "wait_second_dock"
-        elif self.stage == "wait_second_dock":
-            if self._locked_to(memory, self.aw2, self.bb2):
-                emit("OrganismAssembled",
-                     (self.aw1, self.aw2, self.bb1, self.bb2), {})
-                issue(self.bb1, Move(0.06))
-                self.stage = "wait_ground_move"
-        elif self.stage == "wait_ground_move":
-            if not memory.get(self.bb1).busy:
-                issue(self.aw1, LiftChain((self.bb1,)))
-                issue(self.aw2, LiftChain((self.bb2,)))
-                self.stage = "wait_lift"
-        elif self.stage == "wait_lift":
-            if memory.get(self.bb1).off_ground and memory.get(self.bb2).off_ground:
-                issue(self.aw1, Move(0.31))
-                self.stage = "wait_carry_move"
-        elif self.stage == "wait_carry_move":
-            if not memory.get(self.aw1).busy:
-                self.done = True
+#: The assembly's controller: ``AssemblyCoordinator(aw1, aw2, bb1, bb2)``.
+AssemblyCoordinator = partial(Choreography, None, _assembly)
 
 
 def build_assembly_world(config: SimConfig, params: dict | None = None) -> World:
-    params = params or {}
     world = World(config)
     pitch = config.module_pitch
+    offset = float((params or {}).get("wheel_offset_m", 0.5))
     world.add_module("bb1", ModuleKind.BACKBONE, pos=(0.0, 0.0))
     world.add_module("bb2", ModuleKind.BACKBONE, pos=(pitch, 0.0))
-    world.add_module("aw1", ModuleKind.ACTIVE_WHEEL,
-                     pos=(-float(params.get("wheel_offset_m", 0.5)) - pitch, 0.0))
-    world.add_module("aw2", ModuleKind.ACTIVE_WHEEL,
-                     pos=(pitch + float(params.get("wheel_offset_m", 0.5)) + pitch, 0.0))
+    world.add_module("aw1", ModuleKind.ACTIVE_WHEEL, pos=(-offset - pitch, 0.0))
+    world.add_module("aw2", ModuleKind.ACTIVE_WHEEL, pos=(pitch + offset + pitch, 0.0))
     # The two Backbones start out already connected.
     world.add_connection(DockConnection("bb1", 1, "bb2", 3, 0))
     return world
@@ -159,130 +186,72 @@ def run_assembly_experiment(
         and len(organisms) == 1
         and len(organisms[0]) == 4
     )
-    report = build_metrics(world, speeds, rescue_success=None)
-    return log, report, success
+    return log, build_metrics(world, speeds, rescue_success=None), success
 
 
 # -- rescue ----------------------------------------------------------------------
 
 
-def _fail(role, emit, reason: str) -> None:
-    """End one side's part in the rescue with ``RescueInfeasible``."""
-    emit("RescueInfeasible", (role.module_id,), {"reason": reason})
-    role.failed = True
-    role.done = True
-
-
-class FallenModuleController:
+def _fallen_module(part: Choreography, ack_deadline_ticks: int = 200):
     """Behavior of the fallen robot: call for help, wait, then resume."""
-
-    def __init__(self, module_id: str, ack_deadline_ticks: int = 200):
-        self.module_id = module_id
-        self.ack_deadline_ticks = ack_deadline_ticks
-        self.stage = "call"
-        self.failed = False
-        self.done = False
-        self._called_at = 0
-
-    def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
-        snap = memory.get(self.module_id)
-        if self.stage == "call":
-            free = snap.free_ports()
-            if not free:
-                _fail(self, emit, "NoFreePort")
-                return
-            emit("HelpBroadcast", (self.module_id,), {"advertised_port": free[0]})
-            issue(self.module_id, Broadcast(f"help:{free[0]}"))
-            self._called_at = tick
-            self.stage = "await_ack"
-        elif self.stage == "await_ack":
-            if any(m.payload == "ack" for m in snap.messages):
-                self.stage = "await_upright"
-            elif tick - self._called_at > self.ack_deadline_ticks:
-                _fail(self, emit, "NoResponder")
-        elif self.stage == "await_upright":
-            if snap.upright:
-                issue(self.module_id, Move(0.05))
-                self.stage = "confirm_move"
-        elif self.stage == "confirm_move":
-            if snap.busy:
-                emit("ResumedOperation", (self.module_id,), {})
-                self.done = True
-            else:
-                _fail(self, emit, "CannotMove")
+    me, get = part.module_id, part.memory.get
+    free = get(me).free_ports()
+    if not free:
+        return "NoFreePort"
+    part.emit("HelpBroadcast", (me,), {"advertised_port": free[0]})
+    part.issue(me, Broadcast(f"help:{free[0]}"))
+    for _ in range(ack_deadline_ticks + 1):
+        yield
+        if any(m.payload == "ack" for m in get(me).messages):
+            break
+    else:
+        return "NoResponder"
+    yield from _until(lambda: get(me).upright)
+    part.issue(me, Move(0.05))
+    yield
+    if not get(me).busy:
+        return "CannotMove"
+    part.emit("ResumedOperation", (me,), {})
 
 
-class RescuerController:
+#: The rescuer's steps after the lift: once the wheel has turned busy and
+#: idle again it issues the step's directive, else it fails with its reason.
+RESCUE_STEPS = (
+    (ActuateJoint(mechanics.Joint.ROTATION, 180.0), "LiftInfeasible"),
+    (LowerChain(), "RotationFailed"),
+    (Undock(port=0), "LowerFailed"),
+)
+
+
+def _rescuer(part: Choreography):
     """Behavior of a helper wheel: answer the call, dock to the advertised
     port, lift, rotate half a turn, set down, and release."""
-
-    #: What follows the lift. Each step waits for the wheel to turn busy
-    #: and then idle before it issues its directive; a wheel that never
-    #: turned busy ends the rescue with the step's failure reason.
-    STEPS = (
-        (ActuateJoint(Joint.ROTATION, 180.0), "LiftInfeasible"),
-        (LowerChain(), "RotationFailed"),
-        (Undock(port=0), "LowerFailed"),
-    )
-
-    def __init__(self, module_id: str, deadline_ticks: int = 2000):
-        self.module_id = module_id
-        self.deadline_ticks = deadline_ticks
-        self.stage = "idle"
-        self.failed = False
-        self.done = False
-        self.target: Optional[str] = None
-        self._step = 0
-        self._busy_seen = False
-
-    def on_tick(self, tick: int, memory: SensorMemory, issue, emit) -> None:
-        if tick > self.deadline_ticks and not self.done:
-            _fail(self, emit, "Timeout")
-            return
-        snap = memory.get(self.module_id)
-        if self.stage == "idle":
-            for message in snap.messages:
-                if message.payload.startswith("help:"):
-                    self.target = message.src
-                    port = int(message.payload.split(":", 1)[1])
-                    emit("HelpAck", (self.module_id, self.target), {})
-                    issue(self.module_id, Broadcast("ack"))
-                    issue(self.module_id, DockWith(
-                        self.target, own_port=0, peer_port=port))
-                    self.stage = "await_dock"
-                    return
-        elif self.stage == "await_dock":
-            if any(p.state == "locked" and p.peer == self.target for p in snap.ports):
-                issue(self.module_id, LiftChain((self.target,)))
-                self.stage = "steps"
-            elif not snap.busy:
-                _fail(self, emit, "DockFailed")
-        elif self.stage == "steps":
-            if snap.busy:
-                self._busy_seen = True
-                return
-            directive, reason = self.STEPS[self._step]
-            if not self._busy_seen:
-                _fail(self, emit, reason)
-                return
-            self._busy_seen = False
-            issue(self.module_id, directive)
-            self._step += 1
-            if self._step == len(self.STEPS):
-                self.stage = "finishing"
-        elif self.stage == "finishing":
-            if not any(p.state == "locked" for p in snap.ports):
-                self.done = True
+    me, get = part.module_id, part.memory.get
+    while not (calls := [m for m in get(me).messages if m.payload.startswith("help:")]):
+        yield
+    target, port = calls[0].src, int(calls[0].payload.split(":", 1)[1])
+    part.emit("HelpAck", (me, target), {})
+    part.issue(me, Broadcast("ack"))
+    part.issue(me, DockWith(target, own_port=0, peer_port=port))
+    yield from _until(lambda: not get(me).busy)
+    if not _locked_to(get(me), target):
+        return "DockFailed"
+    part.issue(me, LiftChain((target,)))
+    for directive, reason in RESCUE_STEPS:
+        yield
+        if not get(me).busy:
+            return reason
+        yield from _until(lambda: not get(me).busy)
+        part.issue(me, directive)
+    yield from _until(lambda: not any(p.state == "locked" for p in get(me).ports))
 
 
 def build_rescue_world(config: SimConfig, params: dict | None = None) -> World:
-    params = params or {}
+    distance = float((params or {}).get("rescuer_distance_m", 1.5))
     world = World(config)
     world.add_module("bb1", ModuleKind.BACKBONE, pos=(0.0, 0.0),
                      posture=Posture(fallen_port=3))
-    world.add_module(
-        "aw1", ModuleKind.ACTIVE_WHEEL,
-        pos=(float(params.get("rescuer_distance_m", 1.5)), 0.0))
+    world.add_module("aw1", ModuleKind.ACTIVE_WHEEL, pos=(distance, 0.0))
     return world
 
 
@@ -291,8 +260,8 @@ def run_rescue_experiment(
     max_ticks: int = 3000,
 ) -> tuple[EventLog, MetricsReport, bool]:
     world = build_rescue_world(config or SimConfig(), params)
-    fallen = FallenModuleController("bb1")
-    rescuer = RescuerController("aw1")
+    fallen = Choreography("bb1", _fallen_module)
+    rescuer = Choreography("aw1", _rescuer, deadline_ticks=2000)
     engine = Engine(world, controllers=[fallen, rescuer], max_ticks=max_ticks)
     log = engine.run()
 
@@ -306,8 +275,7 @@ def run_rescue_experiment(
         and world.modules["bb1"].posture.upright
         and not world.connections
     )
-    report = build_metrics(world, speeds={}, rescue_success=success)
-    return log, report, success
+    return log, build_metrics(world, speeds={}, rescue_success=success), success
 
 
 class Builtin(NamedTuple):

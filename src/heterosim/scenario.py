@@ -366,6 +366,7 @@ def directive_from_dict(raw: dict) -> Directive:
         kind = raw["type"]
     except (TypeError, KeyError):
         raise ValueError(f"directive needs a 'type' field: {raw!r}")
+    json_str(kind, "directive 'type'")
     parser = _DIRECTIVE_PARSERS.get(kind)
     if parser is None:
         raise ValueError(f"unknown directive type {kind!r}")

@@ -1,5 +1,6 @@
 """Scenario ingestion, exit codes, output files, and overrides."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,8 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # Neither output is left behind, not even the event log written first.
+        assert not any(Path(path).is_file() for path in paths.values())
 
     def test_same_out_and_report_path_exits_1_before_running(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
@@ -231,6 +234,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("pair", [
         "dt=nan", "dt=inf", "wireless_range=nan", "idle_draw_w=nan",
         "per_hop_latency_ticks=1", "bus_tolerance_v=1e-6", "dock_reach_m=0.2",
+        "dt=1e308",
     ])
     def test_non_finite_or_removed_override_exits_1(self, tmp_path, capsys, pair):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
@@ -368,10 +372,11 @@ class TestMalformedScalars:
          "timeline": [TICK0 | {"directive": {
              "type": "dock_with", "peer": 5, "own_port": 0, "peer_port": 0}}]},
         {"modules": [{**SCOUT, "id": 5}]},
+        {"modules": [SCOUT], "timeline": [TICK0 | {"directive": {"type": ["move"]}}]},
     ], ids=["max_ticks", "dt", "pos", "fallen_port_range", "fallen_port_type",
             "passive_ports", "move_nan", "move_string", "wait_float",
             "undock_bool", "builtin_param", "chain_string", "chain_unknown",
-            "payload_object", "peer_number", "id_number"])
+            "payload_object", "peer_number", "id_number", "type_list"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
         one_error_line(tmp_path, capsys, payload, command)
@@ -411,10 +416,11 @@ class TestRefusedKeysAndRanges:
         ({"builtin": "assembly", "params": {"wheel_offset_m": -1}}, "'wheel_offset_m'"),
         ({"builtin": "rescue", "params": {"rescuer_distance_m": 0}},
          "'rescuer_distance_m'"),
+        ({"builtin": "assembly", "dt": 1e308}, "dt"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
             "int_past_digit_limit", "wheel_offset_negative",
-            "rescuer_inside_the_pitch"])
+            "rescuer_inside_the_pitch", "dt_past_bound"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
         assert key in one_error_line(tmp_path, capsys, payload, command)
