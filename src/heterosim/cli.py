@@ -1,8 +1,9 @@
 """Command-line surface: scenario ingestion, run orchestration, output files.
 
 Subcommands: ``run`` executes a scenario and writes the event log (JSON
-Lines) plus a metrics report (JSON); ``validate`` checks a scenario file
-without running it; ``list-builtins`` names the built-in experiments.
+Lines) plus a metrics report (JSON); ``validate`` makes the checks of ``run``,
+without overrides, and does not run the scenario; ``list-builtins`` names the
+built-in experiments.
 Exit status: 0 success, 1 configuration or validation problem, 2 the
 scenario itself failed.
 """
@@ -18,11 +19,10 @@ from typing import Optional
 from .config import ConfigError, SimConfig
 from .docking import can_dock
 from .engine import Engine
-from .experiments import BUILTINS, MetricsReport, build_metrics
+from .experiments import BUILTINS, build_metrics
 from .model import UPRIGHT, DockConnection, ModuleKind, Posture, World, passive_spec
 from .scenario import (
     DockWith,
-    EventLog,
     LiftChain,
     ScenarioScript,
     TimelineEntry,
@@ -50,11 +50,10 @@ class ValidationError(Exception):
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
-    """Read and validate a scenario file.
+    """Parse a scenario file: its keys and the JSON type of each value.
 
-    Modules are checked by adding them to a world built with the default
-    config; connections are checked when :func:`build_world_from_script`
-    docks them.
+    Ranges and references are checked by :func:`build_world_from_script`,
+    which builds the run's world from the script.
     """
     try:
         text = Path(path).read_text()
@@ -112,9 +111,8 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     script.modules = _entries(raw, "modules", _module_kwargs)
     if not script.modules:
         raise ValidationError("scenario defines no modules and no builtin")
-    world = _add_modules(World(SimConfig()), script.modules)
     script.connections = _entries(raw, "connections", _connection)
-    script.timeline = _validate_timeline(_entries(raw, "timeline", _timeline_entry), world)
+    script.timeline = _entries(raw, "timeline", _timeline_entry)
     return script
 
 
@@ -173,15 +171,6 @@ def _module_kwargs(entry: dict) -> dict:
     }
 
 
-def _add_modules(world: World, modules: list[dict]) -> World:
-    for i, kwargs in enumerate(modules):
-        try:
-            world.add_module(**kwargs)
-        except ValueError as exc:
-            raise ValidationError(f"modules[{i}]: {exc}") from exc
-    return world
-
-
 def _connection(entry: dict) -> dict:
     return {"a": json_str(entry["a"], "'a'"), "b": json_str(entry["b"], "'b'"),
             "port_a": json_int(entry["port_a"], "'port_a'"),
@@ -195,9 +184,9 @@ def _timeline_entry(entry: dict) -> TimelineEntry:
                          directive_from_dict(entry["directive"]))
 
 
-def _validate_timeline(entries: list[TimelineEntry], world: World) -> list[TimelineEntry]:
-    """``entries`` sorted by tick and module, once each names modules and
-    ports that exist and no (tick, module) pair repeats."""
+def _check_timeline(entries: list[TimelineEntry], world: World) -> None:
+    """Refuse an entry that names a module or port ``world`` lacks, or that
+    repeats a (tick, module) pair; the engine runs them in that order."""
     keys: set[tuple[int, str]] = set()
     for i, entry in enumerate(entries):
         where = f"timeline[{i}]"
@@ -222,7 +211,6 @@ def _validate_timeline(entries: list[TimelineEntry], world: World) -> list[Timel
             for member in directive.chain:
                 if member not in world.modules:
                     raise ValidationError(f"{where}: unknown chain member {member!r}")
-    return sorted(entries, key=lambda e: (e.tick, e.module_id))
 
 
 def _check_port(world: World, module_id: str, port: int, where: str) -> None:
@@ -233,9 +221,15 @@ def _check_port(world: World, module_id: str, port: int, where: str) -> None:
 
 
 def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
-    """The initial world of a custom scenario: its modules, then its
-    connections, each checked by :func:`can_dock` and for adjacency."""
-    world = _add_modules(World(config), script.modules)
+    """The initial world of a custom scenario, the one place a script's ranges
+    and references are checked: its modules by the model, its connections by
+    :func:`can_dock` and for adjacency, then its timeline against the world."""
+    world = World(config)
+    for i, kwargs in enumerate(script.modules):
+        try:
+            world.add_module(**kwargs)
+        except ValueError as exc:
+            raise ValidationError(f"modules[{i}]: {exc}") from exc
     for i, c in enumerate(script.connections):
         where = f"connections[{i}]"
         try:
@@ -254,21 +248,25 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
                 f"{where}: {c['a']} and {c['b']} are not adjacent")
         world.add_connection(DockConnection(
             c["a"], c["port_a"], c["b"], c["port_b"], c["orientation"]))
+    _check_timeline(script.timeline, world)
     return world
 
 
-def _scenario_config(script: ScenarioScript) -> SimConfig:
-    """The default config with the scenario's ``dt``, which it checks."""
-    return SimConfig().with_overrides({} if script.dt is None else {"dt": script.dt})
-
-
-def _check_param_ranges(script: ScenarioScript, config: SimConfig) -> None:
-    """Refuse a builtin param below its least value, which the pitch sets."""
-    takes = BUILTINS[script.builtin].params if script.builtin else {}
-    for key, least in takes.items():
+def _prepare(path: str, overrides: dict
+             ) -> tuple[ScenarioScript, SimConfig, Optional[World]]:
+    """The checked script at ``path``, its config (the scenario's ``dt``,
+    then ``overrides``) and, for a custom scenario, its world: the one path
+    of ``validate`` and ``run``. A builtin param's least value is in pitches."""
+    script = load_scenario(path)
+    config = SimConfig().with_overrides({} if script.dt is None else {"dt": script.dt})
+    config = config.with_overrides(overrides)
+    if script.builtin is None:
+        return script, config, build_world_from_script(script, config)
+    for key, least in BUILTINS[script.builtin].params.items():
         bound = least * config.module_pitch
         if (value := script.params.get(key, bound)) < bound:
             raise ValidationError(f"'params': {key!r} must be >= {bound:g} m, got {value!r}")
+    return script, config, None
 
 
 def _gather_overrides(set_args: list[str]) -> dict:
@@ -292,18 +290,21 @@ def _gather_overrides(set_args: list[str]) -> dict:
 
 def run(scenario_path: str, out_path: str, report_path: str,
         overrides: dict, verbose: bool) -> int:
-    """Execute one scenario; returns the process exit status."""
+    """Execute one scenario; returns the exit status, 0 or 2. Bad input
+    raises before anything runs; an output that cannot be written raises
+    ``OSError`` and leaves no output file behind."""
     if Path(out_path).resolve() == Path(report_path).resolve():
-        print(f"error: --out and --report both name {out_path}", file=sys.stderr)
-        return 1
-    try:
-        script = load_scenario(scenario_path)
-        config = _scenario_config(script).with_overrides(overrides)
-        _check_param_ranges(script, config)
-        log, report, success = _execute(script, config)
-    except (ParseError, ValidationError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"--out and --report both name {out_path}")
+    script, config, world = _prepare(scenario_path, overrides)
+    if world is None:
+        log, report, success = BUILTINS[script.builtin].run(
+            config, script.params, max_ticks=script.max_ticks)
+    else:
+        engine = Engine(world, timeline=script.timeline,
+                        max_ticks=script.max_ticks, shed_policy=script.shed_policy)
+        log = engine.run()
+        report = build_metrics(world, speeds={}, rescue_success=None)
+        success = not engine.halted
 
     opened: list[str] = []
     try:
@@ -311,11 +312,10 @@ def run(scenario_path: str, out_path: str, report_path: str,
             with open(path, "w") as file:
                 opened.append(path)
                 file.write(text)
-    except OSError as exc:
+    except OSError:
         for path in opened:  # leave neither output behind, nor half of one
             Path(path).unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
     if verbose:
         for record in log.records:
             print(record.to_json())
@@ -324,19 +324,6 @@ def run(scenario_path: str, out_path: str, report_path: str,
         print("scenario failed", file=sys.stderr)
         return 2
     return 0
-
-
-def _execute(script: ScenarioScript, config: SimConfig
-             ) -> tuple[EventLog, MetricsReport, bool]:
-    if script.builtin is not None:
-        return BUILTINS[script.builtin].run(config, script.params,
-                                            max_ticks=script.max_ticks)
-    world = build_world_from_script(script, config)
-    engine = Engine(world, timeline=script.timeline,
-                    max_ticks=script.max_ticks, shed_policy=script.shed_policy)
-    log = engine.run()
-    report = build_metrics(world, speeds={}, rescue_success=None)
-    return log, report, not engine.halted
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,26 +359,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{name:<12}{builtin.description}")
         return 0
 
-    if args.command == "validate":
-        try:
-            script = load_scenario(args.scenario)
-            config = _scenario_config(script)
-            _check_param_ranges(script, config)
-            if script.builtin is None:
-                build_world_from_script(script, config)
-        except (ParseError, ValidationError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        what = script.builtin or f"{len(script.modules)} modules"
-        print(f"ok: {args.scenario} ({what})")
-        return 0
-
     try:
-        overrides = _gather_overrides(args.overrides)
-    except ConfigError as exc:
+        if args.command == "run":
+            return run(args.scenario, args.out, args.report,
+                       _gather_overrides(args.overrides), args.verbose)
+        script, _, _ = _prepare(args.scenario, {})
+    except (ParseError, ValidationError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(args.scenario, args.out, args.report, overrides, args.verbose)
+    what = script.builtin or f"{len(script.modules)} modules"
+    print(f"ok: {args.scenario} ({what})")
+    return 0
 
 
 if __name__ == "__main__":

@@ -54,6 +54,9 @@ STANDARD_BATTERY = BatteryModel()
 #: Placeholder pack for passive blocks without their own energy store.
 NO_BATTERY = BatteryModel(cells=0, energy_full_wh=0.0)
 
+#: The most docking ports a module may have: one per face of a cube.
+MAX_PORTS = 6
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -81,6 +84,8 @@ class ModuleSpec:
             raise ValueError("module spec fields must be non-negative")
         if self.num_ports < 1:
             raise ValueError("a module has at least one docking port")
+        if self.num_ports > MAX_PORTS:
+            raise ValueError(f"a module has at most {MAX_PORTS} docking ports")
 
 
 _ACTIVE_MIPS = 3100

@@ -46,8 +46,9 @@ class TestLoadScenario:
                                "own_port": 7, "peer_port": 0}},
             ],
         }
+        script = load_scenario(write(tmp_path, "s.json", payload))
         with pytest.raises(ValidationError) as exc:
-            load_scenario(write(tmp_path, "s.json", payload))
+            build_world_from_script(script, SimConfig())
         assert "port 7" in str(exc.value)
 
     def test_duplicate_timeline_key(self, tmp_path):
@@ -58,32 +59,23 @@ class TestLoadScenario:
                 {"tick": 3, "module": "s1", "directive": {"type": "wait", "ticks": 2}},
             ],
         }
+        script = load_scenario(write(tmp_path, "s.json", payload))
         with pytest.raises(ValidationError) as exc:
-            load_scenario(write(tmp_path, "s.json", payload))
+            build_world_from_script(script, SimConfig())
         assert "duplicate timeline key" in str(exc.value)
 
     def test_duplicate_module_id(self, tmp_path):
         payload = {"modules": [{"id": "x", "kind": "scout"},
                                {"id": "x", "kind": "backbone"}]}
-        with pytest.raises(ValidationError):
-            load_scenario(write(tmp_path, "s.json", payload))
+        script = load_scenario(write(tmp_path, "s.json", payload))
+        with pytest.raises(ValidationError) as exc:
+            build_world_from_script(script, SimConfig())
+        assert "duplicate module id" in str(exc.value)
 
     def test_unknown_kind(self, tmp_path):
         payload = {"modules": [{"id": "x", "kind": "rover"}]}
         with pytest.raises(ValidationError):
             load_scenario(write(tmp_path, "s.json", payload))
-
-    def test_timeline_sorted_on_load(self, tmp_path):
-        payload = {
-            "modules": [{"id": "a", "kind": "scout"}, {"id": "b", "kind": "scout",
-                                                       "pos": [1, 0]}],
-            "timeline": [
-                {"tick": 5, "module": "a", "directive": {"type": "wait", "ticks": 1}},
-                {"tick": 1, "module": "b", "directive": {"type": "wait", "ticks": 1}},
-            ],
-        }
-        script = load_scenario(write(tmp_path, "s.json", payload))
-        assert [(e.tick, e.module_id) for e in script.timeline] == [(1, "b"), (5, "a")]
 
     def test_connection_validation(self, tmp_path):
         payload = {
@@ -231,10 +223,40 @@ class TestRunCommand:
         assert main(["run", "--scenario", scenario, "--set", "warp_speed=9"]) == 1
         assert main(["run", "--scenario", scenario, "--set", "dt=-1"]) == 1
 
+    @pytest.mark.parametrize("text", ["{oops", "[1]"], ids=["invalid_json", "list"])
+    def test_bad_env_config_exits_1(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setenv("HETEROSIM_CONFIG", write(tmp_path, "defaults.json", text))
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        code = main(["run", "--scenario", scenario,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_boolean_override_accepts_off(self, tmp_path):
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        assert main(["run", "--scenario", scenario,
+                     "--out", str(tmp_path / "e.jsonl"),
+                     "--report", str(tmp_path / "r.json"),
+                     "--set", "recharge_enabled=off"]) == 0
+
+    def test_verbose_prints_every_event(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
+        out = tmp_path / "e.jsonl"
+        assert main(["run", "--scenario", scenario, "--out", str(out),
+                     "--report", str(tmp_path / "r.json"), "-v"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        events = out.read_text().splitlines()
+        assert events and printed[:-1] == events
+        assert printed[-1].startswith(f"wrote {out} ({len(events)} events)")
+
     @pytest.mark.parametrize("pair", [
         "dt=nan", "dt=inf", "wireless_range=nan", "idle_draw_w=nan",
         "per_hop_latency_ticks=1", "bus_tolerance_v=1e-6", "dock_reach_m=0.2",
-        "dt=1e308",
+        "dt=1e308", "dt", "dt=abc", "wireless_drop_probability=2",
+        "recharge_enabled=maybe",
     ])
     def test_non_finite_or_removed_override_exits_1(self, tmp_path, capsys, pair):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
@@ -373,10 +395,12 @@ class TestMalformedScalars:
              "type": "dock_with", "peer": 5, "own_port": 0, "peer_port": 0}}]},
         {"modules": [{**SCOUT, "id": 5}]},
         {"modules": [SCOUT], "timeline": [TICK0 | {"directive": {"type": ["move"]}}]},
+        {"modules": [{"id": "p", "kind": "passive", "passive": {"ports": 7}}]},
     ], ids=["max_ticks", "dt", "pos", "fallen_port_range", "fallen_port_type",
             "passive_ports", "move_nan", "move_string", "wait_float",
             "undock_bool", "builtin_param", "chain_string", "chain_unknown",
-            "payload_object", "peer_number", "id_number", "type_list"])
+            "payload_object", "peer_number", "id_number", "type_list",
+            "passive_ports_past_bound"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, payload, command):
         one_error_line(tmp_path, capsys, payload, command)
@@ -417,10 +441,38 @@ class TestRefusedKeysAndRanges:
         ({"builtin": "rescue", "params": {"rescuer_distance_m": 0}},
          "'rescuer_distance_m'"),
         ({"builtin": "assembly", "dt": 1e308}, "dt"),
+        ([SCOUT], "JSON object"),
+        ({"builtin": "assembly", "params": [1]}, "'params'"),
+        ({"modules": [SCOUT], "max_ticks": 0}, "'max_ticks'"),
+        ({"modules": [SCOUT], "shed_policy": "panic"}, "'shed_policy'"),
+        ({"builtin": "assembly", "modules": [SCOUT]}, "'modules'"),
+        ({"modules": []}, "no modules"),
+        ({"modules": {"s": SCOUT}}, "'modules'"),
+        ({"modules": ["s"]}, "modules[0]"),
+        ({"modules": [{"kind": "scout"}]}, "'id'"),
+        ({"modules": [{**SCOUT, "pos": [0, 0, 0]}]}, "'pos'"),
+        ({"modules": [{"id": "p", "kind": "passive", "passive": 3}]}, "'passive'"),
+        ({"modules": [SCOUT], "timeline": [
+            {"tick": -1, "module": "s", "directive": {"type": "wait", "ticks": 1}}]},
+         "tick"),
+        ({"modules": [SCOUT], "timeline": [
+            {"tick": 0, "module": "zz", "directive": {"type": "wait", "ticks": 1}}]},
+         "'zz'"),
+        ({"modules": [SCOUT], "timeline": [TICK0 | {"directive": {
+            "type": "dock_with", "peer": "zz", "own_port": 0, "peer_port": 0}}]}, "'zz'"),
+        ({"modules": [SCOUT], "connections": [
+            {"a": "s", "port_a": 0, "b": "zz", "port_b": 0}]}, "'zz'"),
+        ({"modules": [SCOUT, {"id": "b", "kind": "backbone", "pos": [0.105, 0]}],
+          "connections": [{"a": "s", "port_a": 9, "b": "b", "port_b": 0}]}, "port 9"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
             "int_past_digit_limit", "wheel_offset_negative",
-            "rescuer_inside_the_pitch", "dt_past_bound"])
+            "rescuer_inside_the_pitch", "dt_past_bound", "scenario_list",
+            "params_list", "max_ticks_zero", "shed_policy_unknown", "builtin_with_modules",
+            "modules_empty", "modules_object", "module_string", "module_without_id",
+            "pos_three_numbers", "passive_number", "timeline_tick_negative",
+            "timeline_unknown_module", "dock_unknown_peer", "connection_unknown_module",
+            "connection_port_9"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
         assert key in one_error_line(tmp_path, capsys, payload, command)
@@ -431,6 +483,14 @@ class TestOtherCommands:
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
         assert main(["validate", "--scenario", scenario]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_validate_custom_ok(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.json", {
+            "modules": [SCOUT, {"id": "b", "kind": "backbone", "pos": [0.105, 0]}],
+            "connections": [{"a": "s", "port_a": 1, "b": "b", "port_b": 3}],
+            "timeline": [TICK0 | {"directive": {"type": "wait", "ticks": 1}}]})
+        assert main(["validate", "--scenario", scenario]) == 0
+        assert capsys.readouterr().out == f"ok: {scenario} (2 modules)\n"
 
     def test_validate_bad(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.json", {"modules": [{"id": "x", "kind": "ufo"}]})

@@ -74,6 +74,14 @@ class TestSpecTable:
         with pytest.raises(ValueError):
             passive_spec(energy_wh=-1.0)
 
+    def test_passive_ports_are_bounded(self):
+        # Each port is allocated when the module is added, so a huge count
+        # ran out of memory instead of being refused.
+        assert passive_spec(num_ports=6).num_ports == 6
+        for ports in (0, 7):
+            with pytest.raises(ValueError, match="docking port"):
+                passive_spec(num_ports=ports)
+
 
 class TestPose:
     def test_heading_quantized(self):

@@ -8,7 +8,15 @@ from heterosim import mechanics, scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
 from heterosim.mechanics import Joint, set_posture
-from heterosim.model import DockConnection, ModuleKind, PortState, Posture, World, spec_for
+from heterosim.model import (
+    DockConnection,
+    ModuleKind,
+    PortState,
+    Posture,
+    World,
+    passive_spec,
+    spec_for,
+)
 from heterosim.scenario import (
     ActuateJoint,
     Broadcast,
@@ -334,6 +342,17 @@ class TestTimelineAndDeterminism:
         log_b = self.build().run().to_jsonl()
         assert log_a == log_b
         assert log_a
+
+    def test_timeline_runs_in_tick_then_module_order(self):
+        world = World()
+        for i, mid in enumerate("ab"):
+            world.add_module(mid, ModuleKind.SCOUT, pos=(float(i), 0.0))
+        timeline = [TimelineEntry(5, "a", SetSharing(True)),
+                    TimelineEntry(1, "b", SetSharing(True)),
+                    TimelineEntry(1, "a", SetSharing(True))]
+        log = Engine(world, timeline=timeline, max_ticks=10).run()
+        assert [(e.tick, e.subjects) for e in log.events_named("SharingSet")] == [
+            (1, ("a",)), (1, ("b",)), (5, ("a",))]
 
     def test_directive_beyond_max_ticks_never_runs(self):
         world = World()
@@ -865,3 +884,95 @@ class TestLiftThroughEngine:
         members = world.organism_of("aw1")
         assert members == ("aw1", "bb")
         assert mechanics.organism_speed(world, members) == 31.0
+
+
+def scout_docked_to(mid: str, kind: ModuleKind, spec=None, port: int = 0) -> World:
+    """A Scout "s" docked by its port 1 to ``mid``'s ``port``: a passive block
+    alone has no battery and halts with ``NoSupplier`` at its first tick."""
+    world = World()
+    world.add_module("s", ModuleKind.SCOUT)
+    world.add_module(mid, kind, pos=(world.config.module_pitch, 0.0), spec=spec)
+    world.add_connection(DockConnection("s", 1, mid, port))
+    return world
+
+
+def lone(kind: ModuleKind, **kwargs) -> World:
+    world = World()
+    world.add_module("m", kind, **kwargs)
+    return world
+
+
+def two(kind_a: ModuleKind, kind_b: ModuleKind) -> World:
+    world = World()
+    world.add_module("a", kind_a)
+    world.add_module("b", kind_b, pos=(world.config.module_pitch, 0.0))
+    return world
+
+
+def lifting_wheel() -> World:
+    """A wheel holding up the Backbone docked to it, its lift finished."""
+    engine = wheel_holding_backbone()
+    engine.step([("aw", LiftChain(("bb",)))])
+    while engine.activities:
+        engine.step()
+    return engine.world
+
+
+def passive_far_from_a_scout() -> World:
+    world = scout_docked_to("p", ModuleKind.PASSIVE, spec=passive_spec(num_ports=2))
+    world.add_module("far", ModuleKind.SCOUT, pos=(1.0, 1.0))
+    return world
+
+
+class TestEngineRejections:
+    """Each directive the engine refuses, in the smallest world that
+    reaches the refusal: one ``DirectiveRejected`` naming the reason."""
+
+    @pytest.mark.parametrize("build, directives, reason", [
+        (lambda: lone(ModuleKind.SCOUT), [("ghost", Wait(1))], "NoSuchModule"),
+        (lambda: lone(ModuleKind.SCOUT, soc=0.0), [("m", Wait(1))], "DeadBattery"),
+        (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", Move(0.1))],
+         "Unsupported"),
+        (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", Turn(90))],
+         "Unsupported"),
+        (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", LiftChain(("s",)))],
+         "Unsupported"),
+        (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", LowerChain())],
+         "Unsupported"),
+        (lambda: lone(ModuleKind.SCOUT), [("m", Move(-0.1))], "Unsupported"),
+        (lambda: scout_docked_to("b", ModuleKind.BACKBONE, port=3), [("b", Turn(90))],
+         "CannotMove"),
+        (passive_far_from_a_scout, [("p", DockWith("far", 1, 0))], "CannotMove"),
+        (lambda: lone(ModuleKind.SCOUT), [("m", Undock(0))], "BadTarget"),
+        (lambda: lone(ModuleKind.ACTIVE_WHEEL), [("m", LowerChain())], "BadTarget"),
+        (lambda: two(ModuleKind.SCOUT, ModuleKind.SCOUT), [("a", DockWith("zz", 0, 0))],
+         "BadTarget"),
+        (lambda: two(ModuleKind.SCOUT, ModuleKind.SCOUT), [("a", DockWith("b", 9, 0))],
+         "BadTarget"),
+        (lambda: lone(ModuleKind.ACTIVE_WHEEL), [("m", LiftChain(("zz",)))], "BadTarget"),
+        (lambda: scout_docked_to("b", ModuleKind.BACKBONE, port=3),
+         [("b", Undock(3)), ("s", Undock(1))], "BadTarget"),
+        (lambda: two(ModuleKind.ACTIVE_WHEEL, ModuleKind.ACTIVE_WHEEL),
+         [("a", DockWith("b", 0, 0))], "ShapeIncompatible"),
+        (lambda: lone(ModuleKind.BACKBONE), [("m", ActuateJoint(Joint.BEND, 120.0))],
+         "JointLimit"),
+        (lifting_wheel, [("aw", LiftChain(("bb",)))], "Busy"),
+    ], ids=["no_such_module", "dead_battery", "passive_move", "passive_turn",
+            "passive_lift", "passive_lower", "scout_move_backwards", "docked_turn",
+            "passive_dock_far", "undock_free_port", "lower_no_chain", "dock_unknown_peer",
+            "dock_port_9", "lift_unknown", "second_undock_of_a_link", "wheel_to_wheel",
+            "bend_past_limit", "lifter_lifts_again"])
+    def test_rejected(self, build, directives, reason):
+        engine = Engine(build())
+        events = engine.step(directives)
+        assert [(e.subjects[0], e.data["reason"]) for e in events
+                if e.event == "DirectiveRejected"] == [(directives[-1][0], reason)]
+
+    def test_move_aborted_when_the_mover_falls(self):
+        engine = single_module_engine(kind=ModuleKind.SCOUT)
+        engine.step([("m", Move(1.0))])
+        set_posture(engine.world, "m", Posture(fallen_port=0))
+        events = engine.step()
+        assert [(e.event, e.subjects, e.data) for e in events] == [
+            ("MoveAborted", ("m",), {"reason": "CannotMove"})]
+        assert "m" not in engine.activities
