@@ -137,7 +137,8 @@ def _entries(raw: dict, key: str, parse) -> list:
 
 
 def _module_kwargs(entry: dict) -> dict:
-    """The keyword arguments of ``World.add_module`` for one module entry.
+    """The keyword arguments of ``World.add_module`` for one module entry; a
+    passive block's ``spec`` holds the keyword arguments of :func:`passive_spec`.
 
     Only JSON types are checked here; the model's constructors check ranges.
     """
@@ -150,7 +151,7 @@ def _module_kwargs(entry: dict) -> dict:
         passive = entry.get("passive", {})
         if not isinstance(passive, dict):
             raise ValueError("'passive' must be an object")
-        spec = passive_spec(
+        spec = dict(
             num_ports=json_int(passive.get("ports", 1), "'ports'"),
             mass_kg=json_number(passive.get("mass", 1.0), "'mass'"),
             compute_mips=json_int(passive.get("compute", 0), "'compute'"),
@@ -227,7 +228,8 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
     world = World(config)
     for i, kwargs in enumerate(script.modules):
         try:
-            world.add_module(**kwargs)
+            spec = None if kwargs["spec"] is None else passive_spec(**kwargs["spec"])
+            world.add_module(**kwargs | {"spec": spec})
         except ValueError as exc:
             raise ValidationError(f"modules[{i}]: {exc}") from exc
     for i, c in enumerate(script.connections):

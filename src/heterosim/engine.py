@@ -202,7 +202,8 @@ class Engine:
             self._integrate(module_id)
 
         # Phase 4: docking transitions.
-        for module_id in sorted(self.activities):
+        for module_id in sorted([mid for mid, activity in self.activities.items()
+                                 if isinstance(activity, (_Unlock, _Approach))]):
             self._dock_transition(module_id)
 
         # Phase 5: energy step.
@@ -507,8 +508,6 @@ class Engine:
                     mechanics.set_posture(world, mid, UPRIGHT)
                     member.pending_righting = False
                     self.emit("PostureUpright", (mid,), {})
-            return
-        if not isinstance(activity, _Approach):
             return
         peer = activity.peer
         distance = world.distance(module_id, peer)

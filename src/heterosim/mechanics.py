@@ -135,11 +135,14 @@ def ground_drive(world: World, organism: Iterable[str]) -> tuple[float, list[str
     own speed. An organism with no driver does not move.
     """
     modules, lifted = world.modules, world.lifted
-    drivers = [mid for mid in organism
-               if (st := modules[mid]).posture.upright and mid not in lifted
-               and st.spec.locomotion_speed_cm_s > 0 and st.alive]
-    return min([modules[mid].spec.locomotion_speed_cm_s for mid in drivers],
-               default=0.0), drivers
+    drivers, speeds = [], []
+    for mid in organism:
+        st = modules[mid]
+        speed = st.spec.locomotion_speed_cm_s
+        if speed > 0 and st.posture.upright and mid not in lifted and st.alive:
+            drivers.append(mid)
+            speeds.append(speed)
+    return min(speeds, default=0.0), drivers
 
 
 def organism_speed(world: World, organism: Collection[str]) -> float:

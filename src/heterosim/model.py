@@ -310,14 +310,6 @@ class ModuleState:
             return
         self.soc = min(1.0, max(0.0, wh / cap))
 
-    def discharge(self, current_a: float, hours: float) -> float:
-        """Run ``current_a`` out of the pack (into it when negative) for
-        ``hours`` at its open-circuit voltage, and return that voltage."""
-        soc, battery = self.soc, self.spec.battery
-        v_oc = battery.voltage(soc)
-        self.set_stored_wh(soc * battery.energy_full_wh - v_oc * current_a * hours)
-        return v_oc
-
     @property
     def alive(self) -> bool:
         """False once an on-board pack is fully drained; battery-less

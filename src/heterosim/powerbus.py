@@ -13,7 +13,10 @@ exactly A - B*v - P/v there. The solver scans segments from the top of the
 voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
 first segment that holds one.
 
-A solve is one pass over the members, then that scan. Every sum is a
+A solve is one pass over the members, which also collects the breakpoints,
+then that scan. It returns a :class:`BusSolution`, the operating point, from
+which :func:`step_energy` applies each source's current; the per-member
+dicts of a solution are views of it, built when read. Every sum is a
 ``math.fsum``, which rounds once, so the floats are the same on every
 Python version (``sum()`` of floats rounds differently from 3.12 on); a
 digest in the tests pins them bit for bit.
@@ -21,10 +24,12 @@ digest in the tests pins them bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .model import (
     BatteryModel,
+    ModuleState,
     STANDARD_BATTERY,
     World,
     connected_components,
@@ -50,16 +55,59 @@ def open_circuit_voltage(soc: float, battery: BatteryModel = STANDARD_BATTERY) -
     return battery.voltage(soc)
 
 
-@dataclass
+@dataclass(repr=False, eq=False, slots=True)
 class BusSolution:
-    """Solved electrical state of one organism for one step."""
+    """One organism's operating point for one step: the bus voltage, the
+    watts of each member that draws, and the battery sources as (state,
+    open-circuit voltage, internal resistance, exports), each in member
+    order. Where nothing flows, it holds no loads or sources. The four
+    per-member dicts are views of it, built when read, keyed by every member.
+    """
 
     organism: tuple[str, ...]
     bus_voltage: float
-    supplier_current: dict[str, float] = field(default_factory=dict)  # A, export
-    charge_current: dict[str, float] = field(default_factory=dict)    # A, intake
-    load_current: dict[str, float] = field(default_factory=dict)      # A, consumption
-    limiter_tripped: dict[str, bool] = field(default_factory=dict)
+    loads: dict[str, float]
+    sources: list[tuple[ModuleState, float, float, bool]]
+    limit: float  # A, the export limiter
+    cap: float    # A, the recharge cap
+
+    def flows(self) -> Iterator[tuple[ModuleState, float, bool, float]]:
+        """Each source's state, open-circuit voltage, whether it exports, and
+        the current out of its pack in A: the export of a sharing member, or
+        minus the intake of a recharging one, each clamped at 0 and at the
+        limiter or the cap."""
+        v, limit, cap = self.bus_voltage, self.limit, self.cap
+        for st, v_oc, r, exports in self.sources:
+            if exports:
+                x = (v_oc - v) / r
+                yield st, v_oc, True, limit if x > limit else 0.0 if x < 0.0 else x
+            else:
+                x = (v - v_oc) / r
+                yield st, v_oc, False, -(cap if x > cap else 0.0 if x < 0.0 else x)
+
+    @property
+    def supplier_current(self) -> dict[str, float]:
+        """A exported by each member."""
+        return dict.fromkeys(self.organism, 0.0) | {
+            st.module_id: a for st, _, out, a in self.flows() if out}
+
+    @property
+    def charge_current(self) -> dict[str, float]:
+        """A taken in by each member."""
+        return dict.fromkeys(self.organism, 0.0) | {
+            st.module_id: -a for st, _, out, a in self.flows() if not out}
+
+    @property
+    def load_current(self) -> dict[str, float]:
+        """A drawn by each member's load."""
+        return dict.fromkeys(self.organism, 0.0) | {
+            mid: watts / self.bus_voltage for mid, watts in self.loads.items()}
+
+    @property
+    def limiter_tripped(self) -> dict[str, bool]:
+        """Whether each member exports at its limiter."""
+        return dict.fromkeys(self.organism, False) | {
+            st.module_id: a >= self.limit - 1e-12 for st, _, out, a in self.flows() if out}
 
     @property
     def total_supply_a(self) -> float:
@@ -69,6 +117,13 @@ class BusSolution:
     def total_demand_a(self) -> float:
         return math.fsum(self.load_current.values()) + math.fsum(self.charge_current.values())
 
+    def __repr__(self) -> str:
+        """Every view by name; the bus digest in the tests hashes this."""
+        return (f"BusSolution(organism={self.organism!r}, bus_voltage={self.bus_voltage!r}, "
+                f"supplier_current={self.supplier_current!r}, "
+                f"charge_current={self.charge_current!r}, load_current={self.load_current!r}, "
+                f"limiter_tripped={self.limiter_tripped!r})")
+
 
 def solve_bus(
     world: World,
@@ -77,7 +132,7 @@ def solve_bus(
     min_supplier_stored_wh: float = 0.0,
     charge_headroom_wh: float = 0.0,
 ) -> BusSolution:
-    """Find the organism's bus voltage and all module currents.
+    """Find the organism's operating point: its bus voltage and all currents.
 
     Suppliers are members with the sharing switch on and charge left;
     demand is the members' load draw plus (when recharging is enabled)
@@ -94,11 +149,13 @@ def solve_bus(
             raise ValueError(f"organism=None needs a one-organism world, not {len(components)}")
         organism = components[0]
     members = tuple(sorted(organism))
+    limit, cap = cfg.current_limit_a, cfg.recharge_max_a
 
-    # Sources are (module id, open-circuit voltage, internal resistance).
-    suppliers: list[tuple[str, float, float]] = []
-    chargers: list[tuple[str, float, float]] = []
-    loads: dict[str, float] = {}  # the members drawing power, in member order
+    # One pass over the members finds the loads and sources, and for the
+    # root scan each supplier and charger as (v_oc, R, v_oc/R, 1/R) with
+    # its breakpoints.
+    loads: dict[str, float] = {}
+    sources, suppliers, chargers, points = [], [], [], set()
     v_lo, v_hi = math.inf, -math.inf
     for mid in members:
         st = world.modules[mid]
@@ -114,64 +171,53 @@ def solve_bus(
         stored = soc * full
         if st.sharing_on:
             if stored > 0 and stored >= min_supplier_stored_wh:
-                v_oc = battery.voltage(soc)
+                v_oc, r = battery.voltage(soc), battery.internal_resistance
                 v_hi = v_oc if v_oc > v_hi else v_hi
                 v_lo = battery.v_empty if battery.v_empty < v_lo else v_lo
-                suppliers.append((mid, v_oc, battery.internal_resistance))
+                sources.append((st, v_oc, r, True))
+                suppliers.append((v_oc, r, v_oc / r, 1.0 / r))
+                points.add(v_oc)
+                points.add(v_oc - limit * r)
         elif cfg.recharge_enabled and stored <= full - charge_headroom_wh:
-            chargers.append((mid, battery.voltage(soc), battery.internal_resistance))
+            v_oc, r = battery.voltage(soc), battery.internal_resistance
+            sources.append((st, v_oc, r, False))
+            chargers.append((v_oc, r, v_oc / r, 1.0 / r))
+            points.add(v_oc)
+            points.add(v_oc + cap * r)
     total_load_w = math.fsum(loads.values())
 
     if not suppliers:
         if total_load_w > 0:
             raise NoSupplier(
                 f"demand {total_load_w:.3f} W with no exporting module", members)
-        return _zero_solution(members, 0.0)
-    if total_load_w / v_hi == 0.0 and all(v_oc >= v_hi for _, v_oc, _ in chargers):
+        return BusSolution(members, 0.0, {}, [], limit, cap)
+    if total_load_w / v_hi == 0.0 and all(v_oc >= v_hi for v_oc, _, _, _ in chargers):
         # Open circuit: no charger sits below the strongest source and the
         # load draws no current there (not even rounded), so the node floats.
-        return _zero_solution(members, v_hi)
+        return BusSolution(members, v_hi, {}, [], limit, cap)
 
-    limit = cfg.current_limit_a
-    cap = cfg.recharge_max_a
-    v_star = _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
+    points.add(v_lo)
+    v_star = _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
                            total_load_w)
     if v_star is None:
         raise InsufficientSupply(
             f"demand {total_load_w:.3f} W exceeds limited supply", members)
-
-    solution = _zero_solution(members, v_star)
-    for mid, watts in loads.items():
-        solution.load_current[mid] = watts / v_star
-    for mid, v_oc, r in suppliers:
-        x = (v_oc - v_star) / r
-        current = limit if x > limit else 0.0 if x < 0.0 else x
-        solution.supplier_current[mid] = current
-        solution.limiter_tripped[mid] = current >= limit - 1e-12
-    for mid, v_oc, r in chargers:
-        x = (v_star - v_oc) / r
-        solution.charge_current[mid] = cap if x > cap else 0.0 if x < 0.0 else x
-    return solution
+    return BusSolution(members, v_star, loads, sources, limit, cap)
 
 
-def _zero_solution(members: tuple[str, ...], bus_voltage: float) -> BusSolution:
-    zeros = dict.fromkeys(members, 0.0)
-    return BusSolution(members, bus_voltage, zeros, zeros.copy(), zeros.copy(),
-                       dict.fromkeys(members, False))
-
-
-def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
+def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
                   load_w) -> float | None:
     """Highest voltage in [v_lo, v_hi] where supply meets demand, or None.
 
-    Each segment between breakpoints is solved in closed form: classifying
-    every source at the segment midpoint gives A (v_oc/R of each linear
-    source, plus the limit of each limited supplier, minus the cap of each
-    capped charger) and B (1/R of each linear source), and the segment's
-    largest root is the larger root of B*v**2 - A*v + P = 0. Rounding can
-    put that root a few ulps above the true one, so it is stepped down one
-    ulp at a time until balance(v) >= 0: the returned voltage never leaves
-    demand short of supply as evaluated here.
+    Each source is (v_oc, R, v_oc/R, 1/R), and ``points`` holds ``v_lo``,
+    ``v_hi`` and every source's breakpoints. Each segment between them is
+    solved in closed form: classifying every source at the segment midpoint
+    gives A (v_oc/R of each linear source, plus the limit of each limited
+    supplier, minus the cap of each capped charger) and B (1/R of each
+    linear source), and the segment's largest root is the larger root of
+    B*v**2 - A*v + P = 0. Rounding can put that root a few ulps above the
+    true one, so it is stepped down one ulp at a time until balance(v) >= 0:
+    the returned voltage never leaves demand short of supply as evaluated here.
 
     ``v_hi`` itself is never a root at the call in :func:`solve_bus`. It is
     the highest supplier voltage, so every supplier's current there is 0
@@ -181,43 +227,32 @@ def _largest_root(suppliers, chargers, v_lo, v_hi, limit, cap,
     """
     def balance(v: float) -> float:
         net = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
-                         for _, v_oc, r in suppliers]) - load_w / v
+                         for v_oc, r, _, _ in suppliers]) - load_w / v
         if chargers:
             net -= math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
-                              for _, v_oc, r in chargers])
+                              for v_oc, r, _, _ in chargers])
         return net
 
-    # Each source's breakpoints, and its linear terms v_oc/R and 1/R divided
-    # out once.
-    points = {v_lo, v_hi}
-    linear_suppliers, linear_chargers = [], []
-    for _, v_oc, r in suppliers:
-        points.add(v_oc)
-        points.add(v_oc - limit * r)
-        linear_suppliers.append((v_oc, r, v_oc / r, 1.0 / r))
-    for _, v_oc, r in chargers:
-        points.add(v_oc)
-        points.add(v_oc + cap * r)
-        linear_chargers.append((v_oc, r, v_oc / r, 1.0 / r))
-    breakpoints = sorted([p for p in points if v_lo <= p <= v_hi])
-
-    # Scan from the top. The balance is negative at the top of each segment
-    # reached, so a segment with B <= 0 (balance rising with v) or without
-    # a real root inside it holds no root either.
+    # Scan from v_hi down to v_lo. The balance is negative at the top of
+    # each segment reached, so a segment with B <= 0 (balance rising with v)
+    # or without a real root inside it holds no root either.
+    breakpoints = sorted(points)
     for i in range(len(breakpoints) - 1, 0, -1):
         lo, hi = breakpoints[i - 1], breakpoints[i]
-        if hi - lo < 1e-15:
+        if hi > v_hi or hi - lo < 1e-15:
             continue
+        if lo < v_lo:
+            break
         mid = (lo + hi) / 2.0
         a = b = 0.0
-        for v_oc, r, a_r, b_r in linear_suppliers:
+        for v_oc, r, a_r, b_r in suppliers:
             current = (v_oc - mid) / r
             if current >= limit:
                 a += limit
             elif current > 0.0:
                 a += a_r
                 b += b_r
-        for v_oc, r, a_r, b_r in linear_chargers:
+        for v_oc, r, a_r, b_r in chargers:
             current = (mid - v_oc) / r
             if current >= cap:
                 a -= cap
@@ -270,18 +305,12 @@ def step_energy(world: World, dt: float) -> World:
     loss = world.resistive_loss_wh
     for solution in solutions:
         v = solution.bus_voltage
-        # The four dicts hold the members in the same order.
-        for mid, exported, intake, current in zip(
-                solution.organism, solution.supplier_current.values(),
-                solution.charge_current.values(), solution.load_current.values()):
-            if exported > 0:
-                v_oc = world.modules[mid].discharge(exported, hours)
-                loss += (v_oc - v) * exported * hours
-            elif intake > 0:
-                v_oc = world.modules[mid].discharge(-intake, hours)
-                loss += (v - v_oc) * intake * hours
-            if current > 0:
-                delivered += current * v * hours
+        for st, v_oc, _, amps in solution.flows():
+            if amps:
+                st.set_stored_wh(st.stored_wh - v_oc * amps * hours)
+                loss += (v_oc - v) * amps * hours
+        for watts in solution.loads.values():
+            delivered += watts / v * v * hours  # the load's current times v
     world.delivered_load_wh = delivered
     world.resistive_loss_wh = loss
     return world

@@ -275,7 +275,7 @@ class ScenarioScript:
     or the name of a built-in experiment."""
 
     builtin: Optional[str] = None
-    modules: list[dict] = field(default_factory=list)  # World.add_module kwargs
+    modules: list[dict] = field(default_factory=list)  # see cli._module_kwargs
     connections: list[dict] = field(default_factory=list)
     timeline: list[TimelineEntry] = field(default_factory=list)
     dt: Optional[float] = None

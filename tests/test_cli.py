@@ -477,6 +477,16 @@ class TestRefusedKeysAndRanges:
     def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
         assert key in one_error_line(tmp_path, capsys, payload, command)
 
+    @pytest.mark.parametrize("module", [
+        {**SCOUT, "soc": 2.0},
+        {"id": "p", "kind": "passive", "passive": {"ports": 7}},
+    ], ids=["soc", "passive_ports"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_dt_is_named_before_a_module_range(self, tmp_path, capsys, module, command):
+        # Every module range is checked once the config is built.
+        err = one_error_line(tmp_path, capsys, {"dt": -1, "modules": [module]}, command)
+        assert "dt" in err and "modules[0]" not in err
+
 
 class TestOtherCommands:
     def test_validate_ok(self, tmp_path, capsys):

@@ -288,6 +288,58 @@ class TestBusInvariants:
                 assert after >= before - 1e-9
 
 
+class TestSolutionViews:
+    """Each per-member dict of a solution lists every member in sorted
+    order, whichever way the solve returned and however the organism was
+    passed; a member that is not a source reads 0.0 and False."""
+
+    @staticmethod
+    def views(solution):
+        return (solution.supplier_current, solution.charge_current,
+                solution.load_current, solution.limiter_tripped)
+
+    def test_no_supplier(self):
+        # A switched-off pack and a drained one: nothing flows, at 0 V.
+        world = chain_organism([{"soc": 0.3, "sharing": False}, {"soc": 0.0, "load": 5.0}])
+        solution = solve_bus(world, ("m1", "m0"))
+        assert (solution.organism, solution.bus_voltage) == (("m0", "m1"), 0.0)
+        zeros = {"m0": 0.0, "m1": 0.0}
+        assert self.views(solution) == (zeros, zeros, zeros, {"m0": False, "m1": False})
+        assert all(list(view) == ["m0", "m1"] for view in self.views(solution))
+
+    def test_open_circuit(self):
+        world = chain_organism([{"soc": 0.8}, {"soc": 0.5},
+                                {"kind": ModuleKind.PASSIVE}])
+        solution = solve_bus(world, ("m2", "m0", "m1"))
+        assert solution.bus_voltage == open_circuit_voltage(0.8)
+        zeros = dict.fromkeys(("m0", "m1", "m2"), 0.0)
+        assert self.views(solution) == (zeros, zeros, zeros, dict.fromkeys(zeros, False))
+        assert all(list(view) == ["m0", "m1", "m2"] for view in self.views(solution))
+
+    def test_solved(self):
+        # m0 exports at its limiter, m1 below it, m2 recharges and the
+        # battery-less m3 carries the load.
+        world = chain_organism([{"soc": 1.0}, {"soc": 0.5}, {"soc": 0.1, "sharing": False},
+                                {"kind": ModuleKind.PASSIVE, "load": 230.0}])
+        solution = solve_bus(world, ("m3", "m1", "m2", "m0"))
+        v = solution.bus_voltage
+        members = ["m0", "m1", "m2", "m3"]
+        assert all(list(view) == members for view in self.views(solution))
+        supplied, charged, drawn, tripped = self.views(solution)
+        assert supplied["m0"] == LIMIT and 0.0 < supplied["m1"] < LIMIT
+        assert supplied["m2"] == supplied["m3"] == 0.0
+        assert charged == {"m0": 0.0, "m1": 0.0, "m2": CHARGE_CAP, "m3": 0.0}
+        assert drawn == {"m0": 0.0, "m1": 0.0, "m2": 0.0, "m3": 230.0 / v}
+        assert tripped == {"m0": True, "m1": False, "m2": False, "m3": False}
+        assert solution.total_supply_a == pytest.approx(solution.total_demand_a, abs=1e-9)
+
+    def test_views_are_read_only(self):
+        solution = solve_bus(chain_organism([{"soc": 1.0, "load": 5.0}]))
+        for name in ("supplier_current", "charge_current", "load_current", "limiter_tripped"):
+            with pytest.raises(AttributeError):
+                setattr(solution, name, {})
+
+
 def source_balance(suppliers, chargers, load_w, v):
     """Supply and demand at bus voltage v, straight from the source laws."""
     supply = math.fsum(min(max((v_oc - v) / R_INT, 0.0), LIMIT) for v_oc in suppliers)
@@ -297,10 +349,12 @@ def source_balance(suppliers, chargers, load_w, v):
 
 
 def largest_root(suppliers, chargers, load_w):
+    points = {V_EMPTY} | {p for v_oc in suppliers for p in (v_oc, v_oc - LIMIT * R_INT)}
+    points |= {p for v_oc in chargers for p in (v_oc, v_oc + CHARGE_CAP * R_INT)}
     return _largest_root(
-        [(f"s{i}", v_oc, R_INT) for i, v_oc in enumerate(suppliers)],
-        [(f"c{i}", v_oc, R_INT) for i, v_oc in enumerate(chargers)],
-        V_EMPTY, max(suppliers), LIMIT, CHARGE_CAP, load_w)
+        [(v_oc, R_INT, v_oc / R_INT, 1.0 / R_INT) for v_oc in suppliers],
+        [(v_oc, R_INT, v_oc / R_INT, 1.0 / R_INT) for v_oc in chargers],
+        points, V_EMPTY, max(suppliers), LIMIT, CHARGE_CAP, load_w)
 
 
 class TestClosedFormRoot:

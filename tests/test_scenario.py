@@ -1,6 +1,7 @@
 """Directive dispatch, engine phase behavior, sensor delay, determinism."""
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -676,6 +677,47 @@ class TestDriveDraw:
     def test_every_grounded_member_drives(self):
         assert self._draws_after_one_moving_step(lifted=False) == {
             "aw1": 5.5, "bb1": 5.5, "bb2": 5.5, "aw2": 5.5}
+
+    def test_a_drained_wheel_neither_sets_the_pace_nor_draws(self):
+        # The drained wheel is the slower one, so it would set the pace if it drove.
+        world = World()
+        aw1, bb1, bb2, aw2 = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"),
+                                         socs=(1.0, 1.0, 1.0, 0.0))
+        world.modules[aw2].spec = replace(spec_for(ModuleKind.ACTIVE_WHEEL),
+                                          locomotion_speed_cm_s=20.0)
+        world.lifted.update({bb1: aw1, bb2: aw2})
+        assert mechanics.ground_drive(world, world.organism_of(aw1)) == (31.0, [aw1])
+        events = Engine(world).step([(aw1, Move(1.0))])
+        assert [e.data["speed_cm_s"] for e in events if e.event == "MoveStart"] == [31.0]
+        assert world.modules[aw2].pose.x == pytest.approx(3 * 0.105 + 0.31 * CFG.dt)
+        assert {mid: st.load_draw_w for mid, st in world.modules.items()} == {
+            "aw1": 5.5, "bb1": 0.5, "bb2": 0.5, "aw2": 0.0}
+
+    def test_a_fallen_backbone_is_not_a_driver(self):
+        world = World()
+        aw1, bb1, bb2, aw2 = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"))
+        set_posture(world, bb2, Posture(fallen_port=0))
+        speed, drivers = mechanics.ground_drive(world, world.organism_of(aw1))
+        assert speed == 6.0 and sorted(drivers) == [aw1, aw2, bb1]
+        Engine(world).step([(aw1, Move(1.0))])
+        assert {mid: st.load_draw_w for mid, st in world.modules.items()} == {
+            "aw1": 5.5, "bb1": 5.5, "bb2": 0.5, "aw2": 5.5}
+
+    def test_an_organism_whose_only_drivers_are_drained_stops(self):
+        world = World()
+        aw1, bb1, bb2, aw2 = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"))
+        world.lifted.update({bb1: aw1, bb2: aw2})
+        engine = Engine(world)
+        engine.step([(aw1, Move(1.0))])
+        for mid in (aw1, aw2):
+            world.modules[mid].soc = 0.0
+        before = {mid: (st.pose.x, st.pose.y) for mid, st in world.modules.items()}
+        events = engine.step()
+        assert [(e.event, e.data) for e in events] == [
+            ("MoveAborted", {"reason": "CannotMove"})]
+        assert {mid: (st.pose.x, st.pose.y) for mid, st in world.modules.items()} == before
+        assert {mid: st.load_draw_w for mid, st in world.modules.items()} == {
+            "aw1": 0.0, "bb1": 0.5, "bb2": 0.5, "aw2": 0.0}
 
 
 #: sha256 of every module's soc, pose and load draw and both energy ledgers
