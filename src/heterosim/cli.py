@@ -14,12 +14,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import ConfigError, SimConfig
 from .docking import can_dock
 from .engine import Engine
-from .experiments import BUILTINS, build_metrics
+from .experiments import BUILTINS, MetricsReport, judge
 from .model import UPRIGHT, DockConnection, ModuleKind, Posture, World, passive_spec
 from .scenario import (
     DockWith,
@@ -255,20 +255,23 @@ def build_world_from_script(script: ScenarioScript, config: SimConfig) -> World:
 
 
 def _prepare(path: str, overrides: dict
-             ) -> tuple[ScenarioScript, SimConfig, Optional[World]]:
-    """The checked script at ``path``, its config (the scenario's ``dt``,
-    then ``overrides``) and, for a custom scenario, its world: the one path
-    of ``validate`` and ``run``. A builtin param's least value is in pitches."""
+             ) -> tuple[ScenarioScript, Engine, Callable[[Engine], tuple[MetricsReport, bool]]]:
+    """The checked script at ``path``, its engine, not yet run, and its judge:
+    the one path of ``validate`` and ``run``. The config takes the scenario's
+    ``dt``, then ``overrides``. A builtin param's least value is in pitches."""
     script = load_scenario(path)
     config = SimConfig().with_overrides({} if script.dt is None else {"dt": script.dt})
     config = config.with_overrides(overrides)
     if script.builtin is None:
-        return script, config, build_world_from_script(script, config)
-    for key, least in BUILTINS[script.builtin].params.items():
+        return script, Engine(build_world_from_script(script, config), timeline=script.timeline,
+                              max_ticks=script.max_ticks, shed_policy=script.shed_policy), judge
+    builtin = BUILTINS[script.builtin]
+    for key, least in builtin.params.items():
         bound = least * config.module_pitch
         if (value := script.params.get(key, bound)) < bound:
             raise ValidationError(f"'params': {key!r} must be >= {bound:g} m, got {value!r}")
-    return script, config, None
+    return (script, builtin.start(config, script.params, script.max_ticks, script.shed_policy),
+            builtin.judge)
 
 
 def _gather_overrides(set_args: list[str]) -> dict:
@@ -297,16 +300,9 @@ def run(scenario_path: str, out_path: str, report_path: str,
     ``OSError`` and leaves no output file behind."""
     if Path(out_path).resolve() == Path(report_path).resolve():
         raise ConfigError(f"--out and --report both name {out_path}")
-    script, config, world = _prepare(scenario_path, overrides)
-    if world is None:
-        log, report, success = BUILTINS[script.builtin].run(
-            config, script.params, max_ticks=script.max_ticks)
-    else:
-        engine = Engine(world, timeline=script.timeline,
-                        max_ticks=script.max_ticks, shed_policy=script.shed_policy)
-        log = engine.run()
-        report = build_metrics(world, speeds={}, rescue_success=None)
-        success = not engine.halted
+    _, engine, judge_run = _prepare(scenario_path, overrides)
+    log = engine.run()
+    report, success = judge_run(engine)
 
     opened: list[str] = []
     try:
@@ -365,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             return run(args.scenario, args.out, args.report,
                        _gather_overrides(args.overrides), args.verbose)
-        script, _, _ = _prepare(args.scenario, {})
+        script = _prepare(args.scenario, {})[0]
     except (ParseError, ValidationError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

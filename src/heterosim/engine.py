@@ -51,8 +51,8 @@ _EPS = 1e-9
 
 
 class Controller(Protocol):
-    """A scenario behavior. Reads only sensor memory; issues directives and
-    scenario-level events through the callbacks it is handed."""
+    """A scenario behavior: reads only sensor memory, acts through the callbacks
+    it is handed. A builtin's parts also carry ``failed``, read by its judge."""
 
     done: bool
 

@@ -3,13 +3,16 @@
 Both are fixed choreographies. Each part is a generator script, run one
 step per tick by the one controller class, :class:`Choreography`; it reads
 only sensor memory, so every observation arrives with the engine's one-tick
-delay and the resulting logs are fully deterministic.
+delay and the resulting logs are fully deterministic. Each entry of
+:data:`BUILTINS` starts its engine and judges the finished run; the command
+line and the library runners take that one path, and :func:`judge` holds
+the one success test, which a custom scenario's run shares.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -49,18 +52,20 @@ class MetricsReport:
     rescue_success: Optional[bool] = None
 
     def to_json(self) -> str:
-        record = {
-            "organisms": _jsonable(self.organisms),
-            "total_mips": self.total_mips,
-            "total_wh": round(self.total_wh, 9),
-            "speeds": _jsonable(self.speeds),
-            "rescue_success": self.rescue_success,
-        }
-        return json.dumps(record, indent=2) + "\n"
+        """The fields in order, each float rounded to 9 places."""
+        return json.dumps(_jsonable(asdict(self)), indent=2) + "\n"
 
 
-def build_metrics(world: World, speeds: dict, rescue_success: Optional[bool]) -> MetricsReport:
-    report = MetricsReport(speeds=speeds, rescue_success=rescue_success)
+def judge(engine: Engine, world_ok: bool = True, speeds: Optional[dict] = None,
+          rescue: bool = False) -> tuple[MetricsReport, bool]:
+    """The report of a finished run and its success: the engine did not halt,
+    every part ended done and none failed, and ``world_ok``, a builtin's
+    check of its world, holds. A custom scenario has neither parts nor check;
+    a rescue's report also holds its success."""
+    world = engine.world
+    success = world_ok and not engine.halted and all(
+        part.done and not part.failed for part in engine.controllers)
+    report = MetricsReport(speeds=speeds or {}, rescue_success=success if rescue else None)
     for members in connected_components(world):
         mips = total_compute(world, members)
         wh = powerbus.total_available_energy(world, members)
@@ -80,7 +85,7 @@ def build_metrics(world: World, speeds: dict, rescue_success: Optional[bool]) ->
         })
         report.total_mips += mips
         report.total_wh += wh
-    return report
+    return report, success
 
 
 class Choreography:
@@ -168,25 +173,19 @@ def build_assembly_world(config: SimConfig, params: dict | None = None) -> World
     return world
 
 
-def run_assembly_experiment(
-    config: SimConfig | None = None, params: dict | None = None,
-    max_ticks: int = 2000,
-) -> tuple[EventLog, MetricsReport, bool]:
-    world = build_assembly_world(config or SimConfig(), params)
-    coordinator = AssemblyCoordinator("aw1", "aw2", "bb1", "bb2")
-    engine = Engine(world, controllers=[coordinator], max_ticks=max_ticks)
-    log = engine.run()
-
+def judge_assembly(engine: Engine) -> tuple[MetricsReport, bool]:
+    """The assembly's report, with its two drive speeds; success is one organism of 4."""
     speeds = {key: move.data["speed_cm_s"] for key, move in
-              zip(("before_lift", "after_lift"), log.events_named("MoveStart"))}
-    organisms = connected_components(world)
-    success = (
-        coordinator.done
-        and not engine.halted
-        and len(organisms) == 1
-        and len(organisms[0]) == 4
-    )
-    return log, build_metrics(world, speeds, rescue_success=None), success
+              zip(("before_lift", "after_lift"), engine.log.events_named("MoveStart"))}
+    organisms = connected_components(engine.world)
+    return judge(engine, len(organisms) == 1 and len(organisms[0]) == 4, speeds)
+
+
+def run_assembly_experiment(config: SimConfig | None = None, params: dict | None = None,
+                            max_ticks: int = 2000) -> tuple[EventLog, MetricsReport, bool]:
+    """The assembly as a library call: its log, report and success."""
+    engine = BUILTINS["assembly"].start(config or SimConfig(), params, max_ticks)
+    return (engine.run(), *judge_assembly(engine))
 
 
 # -- rescue ----------------------------------------------------------------------
@@ -255,45 +254,48 @@ def build_rescue_world(config: SimConfig, params: dict | None = None) -> World:
     return world
 
 
-def run_rescue_experiment(
-    config: SimConfig | None = None, params: dict | None = None,
-    max_ticks: int = 3000,
-) -> tuple[EventLog, MetricsReport, bool]:
-    world = build_rescue_world(config or SimConfig(), params)
-    fallen = Choreography("bb1", _fallen_module)
-    rescuer = Choreography("aw1", _rescuer, deadline_ticks=2000)
-    engine = Engine(world, controllers=[fallen, rescuer], max_ticks=max_ticks)
-    log = engine.run()
+def judge_rescue(engine: Engine) -> tuple[MetricsReport, bool]:
+    """The rescue's success: ``PostureUpright`` logged, bb1 upright, no connection."""
+    world = engine.world
+    return judge(engine, "PostureUpright" in engine.log.names()
+                 and world.modules["bb1"].posture.upright and not world.connections,
+                 rescue=True)
 
-    names = log.names()
-    success = (
-        not fallen.failed
-        and not rescuer.failed
-        and not engine.halted
-        and "PostureUpright" in names
-        and "ResumedOperation" in names
-        and world.modules["bb1"].posture.upright
-        and not world.connections
-    )
-    return log, build_metrics(world, speeds={}, rescue_success=success), success
+
+def run_rescue_experiment(config: SimConfig | None = None, params: dict | None = None,
+                          max_ticks: int = 3000) -> tuple[EventLog, MetricsReport, bool]:
+    """The rescue as a library call: its log, report and success."""
+    engine = BUILTINS["rescue"].start(config or SimConfig(), params, max_ticks)
+    return (engine.run(), *judge_rescue(engine))
 
 
 class Builtin(NamedTuple):
-    """One built-in experiment: its runner, the numeric ``params`` it takes,
-    each with its least value in module pitches, and the line
-    ``heterosim list-builtins`` prints for it."""
+    """One built-in experiment: its world, its parts, its ``judge``, the
+    numeric ``params`` it takes, each with its least value in module
+    pitches, and the line ``heterosim list-builtins`` prints for it."""
 
-    run: Callable[..., tuple[EventLog, MetricsReport, bool]]
+    build_world: Callable[[SimConfig, Optional[dict]], World]
+    parts: Callable[[], list[Choreography]]
+    judge: Callable[[Engine], tuple[MetricsReport, bool]]
     params: dict[str, float]
     description: str
+
+    def start(self, config: SimConfig, params: Optional[dict], max_ticks: int,
+              shed_policy: str = "halt") -> Engine:
+        """The experiment's engine, not yet run."""
+        return Engine(self.build_world(config, params), controllers=self.parts(),
+                      max_ticks=max_ticks, shed_policy=shed_policy)
 
 
 #: Every built-in experiment, by the name a scenario's ``builtin`` gives.
 BUILTINS = {
     "assembly": Builtin(
-        run_assembly_experiment, {"wheel_offset_m": 0.0},
+        build_assembly_world, lambda: [AssemblyCoordinator("aw1", "aw2", "bb1", "bb2")],
+        judge_assembly, {"wheel_offset_m": 0.0},
         "four robots dock into one organism, lift, and drive on wheels"),
     "rescue": Builtin(
-        run_rescue_experiment, {"rescuer_distance_m": 1.0},
+        build_rescue_world, lambda: [Choreography("bb1", _fallen_module),
+                                     Choreography("aw1", _rescuer, deadline_ticks=2000)],
+        judge_rescue, {"rescuer_distance_m": 1.0},
         "an Active Wheel rights a fallen Backbone after a call for help"),
 }

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import heterosim.experiments
 from heterosim.cli import (
+    ENV_CONFIG,
     ParseError,
     ValidationError,
     build_world_from_script,
@@ -12,6 +14,9 @@ from heterosim.cli import (
     main,
 )
 from heterosim.config import SimConfig
+from heterosim.engine import Engine
+from heterosim.experiments import BUILTINS, run_assembly_experiment, run_rescue_experiment
+from heterosim.scenario import ScenarioScript
 
 
 def write(tmp_path, name, payload) -> str:
@@ -516,3 +521,54 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing --scenario
         assert exc.value.code == 1
+
+
+def run_builtin(tmp_path, payload: dict, *overrides: str) -> tuple[int, Path, Path]:
+    """``heterosim run`` of a builtin scenario: its exit code and output paths."""
+    events, report = tmp_path / "events.jsonl", tmp_path / "report.json"
+    argv = ["run", "--scenario", write(tmp_path, "s.json", payload),
+            "--out", str(events), "--report", str(report)]
+    for pair in overrides:
+        argv += ["--set", pair]
+    return main(argv), events, report
+
+
+class TestOneEnginePerRun:
+    """A builtin and a custom scenario take one path: the command line
+    builds one engine, runs it and judges it."""
+
+    def test_builtin_sheds_loads_when_its_scenario_says_so(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        code, events, _ = run_builtin(
+            tmp_path, {"builtin": "assembly", "shed_policy": "shed"},
+            "drive_draw_w=60", "current_limit_a=1")
+        names = [json.loads(line)["event"] for line in events.read_text().splitlines()]
+        assert "BrownOut" in names and "FatalEvent" not in names
+        assert code == 0
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_cli_builds_one_engine_through_experiments(self, tmp_path, monkeypatch, name):
+        # perfbench times a builtin run by swapping this module global.
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        built = []
+
+        class CountingEngine(Engine):
+            def __init__(self, world, **kwargs):
+                built.append(self)
+                super().__init__(world, **kwargs)
+
+        monkeypatch.setattr(heterosim.experiments, "Engine", CountingEngine)
+        code, events, _ = run_builtin(tmp_path, {"builtin": name})
+        assert code == 0
+        assert len(built) == 1
+        assert built[0].log.to_jsonl() == events.read_text()
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_library_runner_matches_cli(self, tmp_path, monkeypatch, name):
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        runner = {"assembly": run_assembly_experiment, "rescue": run_rescue_experiment}[name]
+        log, report, success = runner(max_ticks=ScenarioScript().max_ticks)
+        code, events, report_path = run_builtin(tmp_path, {"builtin": name})
+        assert log.to_jsonl() == events.read_text()
+        assert report.to_json() == report_path.read_text()
+        assert (code, success) == (0, True)
