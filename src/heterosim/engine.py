@@ -572,10 +572,10 @@ class Engine:
     def _energy_phase(self) -> None:
         world = self.world
         idle_w = self.config.idle_draw_w
-        driving_w = idle_w + self.config.drive_draw_w
+        driving_w, driving = idle_w + self.config.drive_draw_w, self._driving
         for mid, state in world.modules.items():
-            draw = driving_w if mid in self._driving else idle_w
-            state.load_draw_w = draw if state.alive else 0.0
+            alive = state.soc > 0.0 or state.spec.battery.energy_full_wh <= 0  # ModuleState.alive
+            state.load_draw_w = (driving_w if mid in driving else idle_w) if alive else 0.0
         shed: set[tuple[str, ...]] = set()  # shed once each; failing again halts
         while True:
             try:

@@ -135,14 +135,17 @@ def ground_drive(world: World, organism: Iterable[str]) -> tuple[float, list[str
     own speed. An organism with no driver does not move.
     """
     modules, lifted = world.modules, world.lifted
-    drivers, speeds = [], []
+    drivers, pace = [], 0.0
     for mid in organism:
         st = modules[mid]
         speed = st.spec.locomotion_speed_cm_s
-        if speed > 0 and st.posture.upright and mid not in lifted and st.alive:
+        # Posture.upright and ModuleState.alive, written inline.
+        if speed > 0 and st.posture.fallen_port is None and mid not in lifted \
+                and (st.soc > 0.0 or st.spec.battery.energy_full_wh <= 0):
+            if not drivers or speed < pace:
+                pace = speed
             drivers.append(mid)
-            speeds.append(speed)
-    return min(speeds, default=0.0), drivers
+    return pace, drivers
 
 
 def organism_speed(world: World, organism: Collection[str]) -> float:

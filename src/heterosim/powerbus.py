@@ -16,16 +16,17 @@ first segment that holds one.
 A solve is one pass over the members, which also collects the breakpoints,
 then that scan. It returns a :class:`BusSolution`, the operating point, from
 which :func:`step_energy` applies each source's current; the per-member
-dicts of a solution are views of it, built when read. Every sum is a
-``math.fsum``, which rounds once, so the floats are the same on every
-Python version (``sum()`` of floats rounds differently from 3.12 on); a
-digest in the tests pins them bit for bit.
+dicts of a solution are views of it, built when read. Each sum over the
+members (the loads, the balance at a voltage) is a ``math.fsum``, which
+rounds once; the scan's A and B and the energy ledger add with ``+=`` in
+member order. Either way the floats are the same on every Python version
+(``sum()`` of floats rounds differently from 3.12 on), and digests in the
+tests pin them bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .model import (
     BatteryModel,
@@ -71,19 +72,16 @@ class BusSolution:
     limit: float  # A, the export limiter
     cap: float    # A, the recharge cap
 
-    def flows(self) -> Iterator[tuple[ModuleState, float, bool, float]]:
-        """Each source's state, open-circuit voltage, whether it exports, and
-        the current out of its pack in A: the export of a sharing member, or
-        minus the intake of a recharging one, each clamped at 0 and at the
-        limiter or the cap."""
+    def flows(self) -> list[tuple[ModuleState, float, bool, float]]:
+        """A list, in member order, of each source's state, open-circuit
+        voltage, whether it exports, and the current out of its pack in A:
+        the export of a sharing member, or minus the intake of a recharging
+        one, each clamped at 0 and at the limiter or the cap."""
         v, limit, cap = self.bus_voltage, self.limit, self.cap
-        for st, v_oc, r, exports in self.sources:
-            if exports:
-                x = (v_oc - v) / r
-                yield st, v_oc, True, limit if x > limit else 0.0 if x < 0.0 else x
-            else:
-                x = (v - v_oc) / r
-                yield st, v_oc, False, -(cap if x > cap else 0.0 if x < 0.0 else x)
+        return [(st, v_oc, True, limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x)
+                if exports else
+                (st, v_oc, False, -(cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x))
+                for st, v_oc, r, exports in self.sources]
 
     @property
     def supplier_current(self) -> dict[str, float]:
@@ -149,16 +147,17 @@ def solve_bus(
             raise ValueError(f"organism=None needs a one-organism world, not {len(components)}")
         organism = components[0]
     members = tuple(sorted(organism))
+    modules, recharge = world.modules, cfg.recharge_enabled
     limit, cap = cfg.current_limit_a, cfg.recharge_max_a
 
     # One pass over the members finds the loads and sources, and for the
     # root scan each supplier and charger as (v_oc, R, v_oc/R, 1/R) with
     # its breakpoints.
     loads: dict[str, float] = {}
-    sources, suppliers, chargers, points = [], [], [], set()
+    sources, suppliers, chargers, points = [], [], [], []
     v_lo, v_hi = math.inf, -math.inf
     for mid in members:
-        st = world.modules[mid]
+        st = modules[mid]
         battery = st.spec.battery
         full = battery.energy_full_wh
         soc = st.soc
@@ -176,14 +175,12 @@ def solve_bus(
                 v_lo = battery.v_empty if battery.v_empty < v_lo else v_lo
                 sources.append((st, v_oc, r, True))
                 suppliers.append((v_oc, r, v_oc / r, 1.0 / r))
-                points.add(v_oc)
-                points.add(v_oc - limit * r)
-        elif cfg.recharge_enabled and stored <= full - charge_headroom_wh:
+                points += (v_oc, v_oc - limit * r)
+        elif recharge and stored <= full - charge_headroom_wh:
             v_oc, r = battery.voltage(soc), battery.internal_resistance
             sources.append((st, v_oc, r, False))
             chargers.append((v_oc, r, v_oc / r, 1.0 / r))
-            points.add(v_oc)
-            points.add(v_oc + cap * r)
+            points += (v_oc, v_oc + cap * r)
     total_load_w = math.fsum(loads.values())
 
     if not suppliers:
@@ -196,7 +193,7 @@ def solve_bus(
         # load draws no current there (not even rounded), so the node floats.
         return BusSolution(members, v_hi, {}, [], limit, cap)
 
-    points.add(v_lo)
+    points.append(v_lo)
     v_star = _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
                            total_load_w)
     if v_star is None:
@@ -210,14 +207,15 @@ def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
     """Highest voltage in [v_lo, v_hi] where supply meets demand, or None.
 
     Each source is (v_oc, R, v_oc/R, 1/R), and ``points`` holds ``v_lo``,
-    ``v_hi`` and every source's breakpoints. Each segment between them is
-    solved in closed form: classifying every source at the segment midpoint
-    gives A (v_oc/R of each linear source, plus the limit of each limited
-    supplier, minus the cap of each capped charger) and B (1/R of each
-    linear source), and the segment's largest root is the larger root of
-    B*v**2 - A*v + P = 0. Rounding can put that root a few ulps above the
-    true one, so it is stepped down one ulp at a time until balance(v) >= 0:
-    the returned voltage never leaves demand short of supply as evaluated here.
+    ``v_hi`` and every source's breakpoints; a repeat adds an empty segment,
+    which is skipped. Each segment between them is solved in closed form:
+    classifying every source at the segment midpoint gives A (v_oc/R of each
+    linear source, plus the limit of each limited supplier, minus the cap of
+    each capped charger) and B (1/R of each linear source), and the segment's
+    largest root is the larger root of B*v**2 - A*v + P = 0. Rounding can
+    put that root a few ulps above the true one, so it is stepped down one
+    ulp at a time until balance(v) >= 0: the returned voltage never leaves
+    demand short of supply as evaluated here.
 
     ``v_hi`` itself is never a root at the call in :func:`solve_bus`. It is
     the highest supplier voltage, so every supplier's current there is 0
@@ -286,7 +284,8 @@ def step_energy(world: World, dt: float) -> World:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0: {dt}")
-    cfg = world.config
+    cfg, modules = world.config, world.modules
+    limit, cap = cfg.current_limit_a, cfg.recharge_max_a
     hours = dt / 3600.0
     # Solve every organism before touching any battery, so a brown-out on
     # one organism leaves the whole world untouched (the engine may shed
@@ -294,12 +293,12 @@ def step_energy(world: World, dt: float) -> World:
     # gives the largest reserve and headroom of any member.
     solutions = []
     for members in connected_components(world):
-        v_full = max([world.modules[mid].spec.battery.v_full for mid in members])
+        v_full = max([modules[mid].spec.battery.v_full for mid in members])
         solutions.append(solve_bus(
             world,
             members,
-            min_supplier_stored_wh=v_full * cfg.current_limit_a * hours,
-            charge_headroom_wh=v_full * cfg.recharge_max_a * hours,
+            min_supplier_stored_wh=v_full * limit * hours,
+            charge_headroom_wh=v_full * cap * hours,
         ))
     delivered = world.delivered_load_wh
     loss = world.resistive_loss_wh
@@ -307,7 +306,10 @@ def step_energy(world: World, dt: float) -> World:
         v = solution.bus_voltage
         for st, v_oc, _, amps in solution.flows():
             if amps:
-                st.set_stored_wh(st.stored_wh - v_oc * amps * hours)
+                # ModuleState.set_stored_wh, written inline; a source has a pack.
+                full = st.spec.battery.energy_full_wh
+                soc = (st.soc * full - v_oc * amps * hours) / full
+                st.soc = (soc if soc < 1.0 else 1.0) if soc > 0.0 else 0.0
                 loss += (v_oc - v) * amps * hours
         for watts in solution.loads.values():
             delivered += watts / v * v * hours  # the load's current times v

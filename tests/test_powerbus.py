@@ -55,9 +55,9 @@ class TestOpenCircuitVoltage:
         assert all(V_EMPTY <= v <= V_FULL for v in values)
 
 
-def chain_organism(entries):
+def chain_organism(entries, config=None):
     """Build one docked chain; entries are dicts of module parameters."""
-    world = World()
+    world = World(config)
     previous = None
     for i, entry in enumerate(entries):
         mid = f"m{i}"
@@ -491,6 +491,48 @@ class TestStepEnergy:
         with pytest.raises(ValueError, match="finite"):
             step_energy(world, dt)
         assert world.modules["m0"].soc == 1.0
+
+
+class TestReserveAndHeadroom:
+    """``step_energy`` keeps a supplier out of the step below a reserve of
+    ``v_full * current_limit_a * hours`` Wh, and a charger out within a
+    headroom of ``v_full * recharge_max_a * hours`` Wh of full, each product
+    taken left to right. Each test puts a 1 Wh pack, whose stored Wh is its
+    SOC, on a bound at a dt where the other order rounds to another float,
+    then one float past it."""
+
+    @staticmethod
+    def pack(config, soc, sharing):
+        """The pack ``m0`` and a bus partner: a 1 W battery-less load for a
+        supplier, a full Backbone to feed a charger."""
+        partner = {"kind": ModuleKind.PASSIVE, "load": 1.0} if sharing else {}
+        return chain_organism([{"kind": ModuleKind.PASSIVE, "energy_wh": 1.0,
+                                "soc": soc, "sharing": sharing}, partner], config)
+
+    def test_a_supplier_holding_exactly_the_reserve_exports(self):
+        config = SimConfig().with_overrides({"current_limit_a": 7.0})
+        hours = 1.0 / 3600.0
+        reserve = V_FULL * 7.0 * hours
+        assert reserve != V_FULL * (7.0 * hours)
+        world = self.pack(config, reserve, sharing=True)
+        step_energy(world, 1.0)
+        assert 0.0 < world.modules["m0"].soc < reserve
+        world = self.pack(config, math.nextafter(reserve, 0.0), sharing=True)
+        with pytest.raises(NoSupplier):
+            step_energy(world, 1.0)
+
+    def test_a_charger_exactly_the_headroom_below_full_charges(self):
+        config = SimConfig()
+        hours = 60.0 / 3600.0
+        top = 1.0 - V_FULL * CHARGE_CAP * hours
+        assert top != 1.0 - V_FULL * (CHARGE_CAP * hours)
+        world = self.pack(config, top, sharing=False)
+        step_energy(world, 60.0)
+        assert top < world.modules["m0"].soc < 1.0
+        soc = math.nextafter(top, 1.0)
+        world = self.pack(config, soc, sharing=False)
+        step_energy(world, 60.0)
+        assert world.modules["m0"].soc == soc
 
 
 def digest_entries(rng):

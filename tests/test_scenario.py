@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from heterosim import mechanics, scenario
+from heterosim import mechanics, powerbus, scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
 from heterosim.mechanics import Joint, set_posture
@@ -752,6 +752,62 @@ class TestEngineEnergyDigest:
             digest.update(line.encode() + b"\n")
         assert not engine.halted and len(engine.activities) == 6
         assert digest.hexdigest() == ENGINE_DIGEST
+
+    def test_mixed_organisms_are_bit_identical(self):
+        digest = hashlib.sha256()
+        for dt in (0.1, 1.0):
+            engine = mixed_organisms_engine(dt)
+            world = engine.world
+            for i in range(60):
+                if i == 20:
+                    world.modules["baw2"].soc = 0.0  # a driving wheel runs flat
+                engine.step()
+                line = repr(([(st.soc, st.pose, st.load_draw_w) for st in world.modules.values()],
+                             world.delivered_load_wh, world.resistive_loss_wh))
+                digest.update(line.encode() + b"\n")
+            assert not engine.halted and sorted(engine.activities) == ["aaw1", "bbb2"]
+            assert world.modules["baw2"].load_draw_w == 0.0
+            assert world.modules["c05"].soc > 0.0  # recharged from empty
+            assert powerbus.solve_bus(world, world.organism_of("c00")).limiter_tripped["c00"]
+        assert digest.hexdigest() == MIXED_ENGINE_DIGEST
+
+
+#: sha256 of the same per-step record for the world below, stepped 60 times
+#: at each of dt 0.1 and 1.0, as computed before the energy and drive loops
+#: were written inline. It covers the shapes ENGINE_DIGEST's world lacks.
+MIXED_ENGINE_DIGEST = "ca429902a8a479b7297aff08023cf688b75793dceeacb4305986dbbc5453cdd0"
+
+
+def mixed_organisms_engine(dt: float) -> Engine:
+    """Organism ``a``: a carrier with a fallen Backbone and a battery-less
+    passive block, driven by a wheel. Organism ``b``: a carrier with a
+    passive block carrying its own pack, driven by a Backbone; its wheel
+    ``baw2`` is drained by the test. Organism ``c``: a chain like
+    ``bus_ensemble``'s, one exporter feeding ten switched-off chargers, one
+    of them empty, so the exporter sits at its 8 A limiter. And a lone Scout.
+    """
+    rng = random.Random(22)
+    world = World(SimConfig().with_overrides({"dt": dt}))
+    add_carrier(world, ("aaw1", "abb1", "abb2", "aaw2"),
+                socs=tuple(rng.uniform(0.4, 1.0) for _ in range(4)))
+    set_posture(world, "abb2", Posture(fallen_port=0))
+    world.add_module("ablk", ModuleKind.PASSIVE, pos=(0.105, -0.105), spec=passive_spec())
+    world.add_connection(DockConnection("abb1", 0, "ablk", 0, 0))
+    add_carrier(world, ("baw1", "bbb1", "bbb2", "baw2"), y=1.0,
+                socs=tuple(rng.uniform(0.4, 1.0) for _ in range(4)))
+    world.add_module("bblk", ModuleKind.PASSIVE, pos=(0.105, 0.895), soc=0.95,
+                     spec=passive_spec(energy_wh=10.0))
+    world.add_connection(DockConnection("bbb1", 0, "bblk", 0, 0))
+    ids = [f"c{j:02d}" for j in range(11)]
+    for j, mid in enumerate(ids):
+        world.add_module(mid, rng.choice((ModuleKind.SCOUT, ModuleKind.BACKBONE)),
+                         pos=(0.105 * j, 2.0), sharing_on=j == 0,
+                         soc=0.9 if j == 0 else 0.0 if j == 5 else rng.uniform(0.05, 0.4))
+    for a, b in zip(ids, ids[1:]):
+        world.add_connection(DockConnection(a, 1, b, 3, 0))
+    world.add_module("lone", ModuleKind.SCOUT, pos=(-1.0, -1.0), soc=0.5)
+    return Engine(world, timeline=[TimelineEntry(0, "aaw1", Move(5.0)),
+                                   TimelineEntry(1, "bbb2", Move(5.0))])
 
 
 def wheel_holding_backbone() -> Engine:
