@@ -89,7 +89,7 @@ class TestLiftFeasible:
             lift_feasible(world, LiftQuery("lift", Joint.BEND, (chain[1], chain[0])))
 
     @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=6))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_moment_oracle(self, masses):
         world, chain = lifter_with_chain(ModuleKind.BACKBONE, masses)
         result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
@@ -99,7 +99,7 @@ class TestLiftFeasible:
 
     @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=5),
            st.floats(min_value=0.5, max_value=2.0))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, derandomize=True, deadline=None)
     def test_longer_chain_never_becomes_feasible(self, masses, extra):
         world, chain = lifter_with_chain(ModuleKind.SCOUT, masses)
         shorter = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))

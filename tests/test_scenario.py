@@ -245,6 +245,42 @@ class TestDockingThroughEngine:
         assert not engine.world.connections
 
     @staticmethod
+    def port_lifecycle(engine, ends, ticks, first=None):
+        """Each port's (state, peer) views over ``ticks`` steps, the first
+        one given ``first``, with repeats dropped."""
+        seen = {end: [] for end in ends}
+        for tick in range(ticks + 1):
+            for (mid, port), views in seen.items():
+                view = engine.memory.get(mid).ports[port]
+                if not views or views[-1] != (view.state, view.peer):
+                    views.append((view.state, view.peer))
+            engine.step(first if tick == 0 else None)
+        return seen
+
+    def test_port_views_through_an_approach(self):
+        engine = self.make_engine()
+        seen = self.port_lifecycle(engine, [("aw1", 0), ("bb", 3)], 40,
+                                   [("aw1", DockWith("bb", 0, 3))])
+        assert seen[("aw1", 0)] == [
+            ("free", None), ("approaching", "bb"), ("aligned", "bb"), ("locked", "bb")]
+        assert seen[("bb", 3)] == [
+            ("free", None), ("aligned", "aw1"), ("locked", "aw1")]
+        assert engine.log.names().count("Docked") == 1
+
+    def test_port_views_through_an_aborted_handshake(self):
+        world = World()
+        world.add_module("b", ModuleKind.BACKBONE, pos=(0.0, 0.0), heading_deg=180)
+        world.add_module("c", ModuleKind.SCOUT, pos=(0.3, 0.0))
+        engine = Engine(world, timeline=[
+            TimelineEntry(0, "c", DockWith("b", 0, 1)),
+            TimelineEntry(20, "b", Move(0.3))])
+        seen = self.port_lifecycle(engine, [("c", 0), ("b", 1)], 80)
+        assert seen[("c", 0)] == [
+            ("free", None), ("approaching", "b"), ("aligned", "b"), ("free", None)]
+        assert seen[("b", 1)] == [("free", None), ("aligned", "c"), ("free", None)]
+        assert [e.subjects for e in engine.log.events_named("DockAborted")] == [("c",)]
+
+    @staticmethod
     def run_until_abort(engine):
         for _ in range(100):
             aborted = [e for e in engine.step() if e.event == "DockAborted"]
