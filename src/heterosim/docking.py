@@ -14,7 +14,6 @@ from .model import (
     DockConnection,
     ModuleKind,
     ORIENTATIONS,
-    PortState,
     World,
     inverse_orientation,
 )
@@ -75,8 +74,7 @@ def can_dock(
         return DockRejection.BAD_ORIENTATION
     if mod_a.kind is ModuleKind.ACTIVE_WHEEL and mod_b.kind is ModuleKind.ACTIVE_WHEEL:
         return DockRejection.SHAPE_INCOMPATIBLE
-    if mod_a.ports[port_a].state is not PortState.FREE \
-            or mod_b.ports[port_b].state is not PortState.FREE:
+    if world.port_busy(a, port_a) or world.port_busy(b, port_b):
         return DockRejection.PORT_BUSY
     if mod_a.posture.fallen_port == port_a and mod_b.posture.fallen_port == port_b:
         return DockRejection.PORT_BUSY

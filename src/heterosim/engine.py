@@ -9,9 +9,9 @@ records the busy modules and this tick's inboxes for the next reads;
 identical inputs always produce identical logs.
 
 A module runs at most one activity, a small dataclass per kind, and an
-organism at most one move or approach, at its ground speed. An
-approach reserves the initiator's port (approaching -> aligned -> locked);
-the peer's port is only taken at alignment, so two approaches to one port
+organism at most one move or approach, at its ground speed. An approach
+claims the initiator's port in ``world.claims`` (approaching -> aligned);
+the peer's port is only claimed at alignment, so two approaches to one port
 are settled there and the later one aborts with ``PortBusy``. A module held
 up by a lift, done or under way, neither lifts, docks nor undocks, no module
 docks onto it, and no lift takes a module held up or holding a chain. Once
@@ -25,7 +25,7 @@ from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
 from .mechanics import Joint
-from .model import ModuleKind, PortState, UPRIGHT, World
+from .model import ModuleKind, UPRIGHT, World
 from .scenario import (
     ActuateJoint,
     Broadcast,
@@ -264,7 +264,7 @@ class Engine:
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
                 "implementation": implementation})
         elif isinstance(directive, Turn):
-            if any(p.state is PortState.LOCKED for p in state.ports):
+            if any(conn is not None for conn in state.ports):
                 self._reject(module_id, directive, "CannotMove")
                 return
             duration = (0.0 if state.kind is ModuleKind.ACTIVE_WHEEL  # omni: one tick
@@ -277,7 +277,7 @@ class Engine:
             self._dispatch_dock(module_id, directive, claimed_ports)
         elif isinstance(directive, Undock):
             if not 0 <= directive.port < state.spec.num_ports \
-                    or state.ports[directive.port].state is not PortState.LOCKED:
+                    or state.ports[directive.port] is None:
                 self._reject(module_id, directive, "BadTarget")
                 return
             self.activities[module_id] = _Unlock(directive.port)
@@ -340,9 +340,7 @@ class Engine:
             return
         claimed_ports.add(own_key)
         claimed_ports.add(peer_key)
-        port = state.ports[directive.own_port]
-        port.state = PortState.APPROACHING
-        port.peer = directive.peer
+        world.claims[own_key] = ("approaching", directive.peer)
         self.activities[module_id] = _Approach(
             directive.peer, directive.own_port, directive.peer_port,
             directive.orientation_deg, self.config.dock_handshake_s)
@@ -430,7 +428,7 @@ class Engine:
             distance = world.distance(module_id, activity.peer)
             to_travel = distance - self.config.module_pitch
             if to_travel > _EPS \
-                    and state.ports[activity.own_port].state is not PortState.ALIGNED:
+                    and world.claims[module_id, activity.own_port][0] != "aligned":
                 members = world.organism_of(module_id)
                 speed_cm, drivers = mechanics.ground_drive(world, members)
                 if speed_cm <= 0:
@@ -511,23 +509,21 @@ class Engine:
             return
         peer = activity.peer
         distance = world.distance(module_id, peer)
-        own_port = world.modules[module_id].ports[activity.own_port]
-        peer_port = world.modules[peer].ports[activity.peer_port]
-        if own_port.state is not PortState.ALIGNED:
+        claims = world.claims
+        own_key, peer_key = (module_id, activity.own_port), (peer, activity.peer_port)
+        if claims[own_key][0] != "aligned":
             if distance <= self.config.dock_reach_m + _EPS:
-                # The initiator's port is reserved by this very approach;
-                # lift the reservation for the compatibility re-check.
-                own_port.state = PortState.FREE
+                # The initiator's port is claimed by this very approach;
+                # drop the claim for the compatibility re-check.
+                del claims[own_key]
                 reason = docking.can_dock(
                     world, module_id, activity.own_port,
                     peer, activity.peer_port, activity.orientation_deg)
                 if reason is not None:
                     self._abort_approach(module_id, activity, reason.value)
                     return
-                own_port.state = PortState.ALIGNED
-                if peer_port.state is PortState.FREE:
-                    peer_port.state = PortState.ALIGNED
-                    peer_port.peer = module_id
+                claims[own_key] = ("aligned", peer)
+                claims[peer_key] = ("aligned", module_id)
                 self.emit("Aligned", (module_id, peer), {
                     "own_port": activity.own_port,
                     "peer_port": activity.peer_port})
@@ -535,11 +531,7 @@ class Engine:
         activity.handshake_left_s -= self.config.dt
         if activity.handshake_left_s > _EPS:
             return
-        own_port.state = PortState.FREE
-        own_port.peer = None
-        if peer_port.state is PortState.ALIGNED:
-            peer_port.state = PortState.FREE
-            peer_port.peer = None
+        del claims[own_key], claims[peer_key]
         del self.activities[module_id]
         if self._held_up(module_id) or self._held_up(peer):
             self.emit("DockAborted", (module_id,), {"reason": "Busy"})
@@ -561,9 +553,7 @@ class Engine:
 
     def _abort_approach(self, module_id: str, activity: _Approach, reason: str) -> None:
         """End an approach before alignment and free the initiator's port."""
-        port = self.world.modules[module_id].ports[activity.own_port]
-        port.state = PortState.FREE
-        port.peer = None
+        self.world.claims.pop((module_id, activity.own_port), None)
         del self.activities[module_id]
         self.emit("DockAborted", (module_id,), {"reason": reason})
 

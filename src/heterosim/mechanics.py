@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Sequence
 
-from .model import ModuleSpec, PortState, Posture, World
+from .model import ModuleSpec, Posture, World
 
 
 class Joint(Enum):
@@ -167,7 +167,7 @@ def set_posture(world: World, module_id: str, posture: Posture) -> World:
     if face is not None:
         if not 0 <= face < state.spec.num_ports:
             raise ValueError(f"port {face} invalid for {module_id}")
-        if state.ports[face].state is PortState.LOCKED:
+        if state.ports[face] is not None:
             raise ValueError(f"{module_id} cannot fall onto docked port {face}")
     state.posture = posture
     return world

@@ -205,22 +205,6 @@ class Posture:
 UPRIGHT = Posture()
 
 
-class PortState(Enum):
-    FREE = "free"
-    APPROACHING = "approaching"
-    ALIGNED = "aligned"
-    LOCKED = "locked"
-
-
-@dataclass
-class DockStatus:
-    """Lifecycle state of one docking port."""
-
-    state: PortState = PortState.FREE
-    peer: Optional[str] = None              # module id, while approaching/aligned/locked
-    connection: Optional["DockConnection"] = None  # set while locked
-
-
 ORIENTATIONS = (0, 90, 180, 270)
 
 
@@ -285,14 +269,14 @@ class ModuleState:
     soc: float = 1.0
     sharing_on: bool = True
     load_draw_w: float = 0.0
-    ports: list[DockStatus] = field(default_factory=list)
+    ports: list[Optional[DockConnection]] = field(default_factory=list)  # None: unlocked
     # Engine-managed: joint turn since this module last lifted; righting owed.
     lift_turn_deg: float = 0.0
     pending_righting: bool = False
 
     def __post_init__(self) -> None:
         if not self.ports:
-            self.ports = [DockStatus() for _ in range(self.spec.num_ports)]
+            self.ports = [None] * self.spec.num_ports
         if not 0.0 <= self.soc <= 1.0:
             raise ValueError(f"soc out of range [0, 1]: {self.soc}")
         if abs(self.joint_bend_deg) > self.spec.bend_limit_deg:
@@ -331,7 +315,8 @@ class World:
     rebuilt on the first query after ``add_module``, ``add_connection`` or
     ``remove_connection``, so ``modules`` and ``connections`` must only be
     changed through those. ``lifted`` maps each module off the ground to
-    its lifter, in chain order; the engine keeps it.
+    its lifter, in chain order, and ``claims`` maps each port an approach
+    holds to its (state, peer); the engine keeps both.
     """
 
     def __init__(self, config: SimConfig | None = None):
@@ -340,6 +325,7 @@ class World:
         self.connections: dict[tuple[str, int, str, int], DockConnection] = {}
         self.tick: int = 0
         self.lifted: dict[str, str] = {}
+        self.claims: dict[tuple[str, int], tuple[str, str]] = {}
         # Cumulative energy accounting, kept by the power subsystem.
         self.delivered_load_wh: float = 0.0
         self.resistive_loss_wh: float = 0.0
@@ -389,32 +375,29 @@ class World:
 
     def add_connection(self, conn: DockConnection) -> None:
         for mid, port in conn.endpoints():
-            status = self.modules[mid].ports[port]
-            if status.state is PortState.LOCKED:
+            if self.modules[mid].ports[port] is not None:
                 raise ValueError(f"port {port} of {mid} already carries a connection")
         if conn.key in self.connections:
             raise ValueError(f"duplicate connection {conn.key}")
         self.connections[conn.key] = conn
         self._organisms = None
         for mid, port in conn.endpoints():
-            status = self.modules[mid].ports[port]
-            status.state = PortState.LOCKED
-            status.peer = conn.other(mid)
-            status.connection = conn
+            self.modules[mid].ports[port] = conn
 
     def remove_connection(self, key: tuple[str, int, str, int]) -> DockConnection:
         conn = self.connections.pop(key)
         self._organisms = None
         for mid, port in conn.endpoints():
-            status = self.modules[mid].ports[port]
-            status.state = PortState.FREE
-            status.peer = None
-            status.connection = None
+            self.modules[mid].ports[port] = None
         return conn
 
     def connection_at(self, module_id: str, port: int) -> DockConnection | None:
-        status = self.modules[module_id].ports[port]
-        return status.connection if status.state is PortState.LOCKED else None
+        return self.modules[module_id].ports[port]
+
+    def port_busy(self, module_id: str, port: int) -> bool:
+        """Whether the port is locked or claimed by an approach."""
+        return self.modules[module_id].ports[port] is not None \
+            or (module_id, port) in self.claims
 
     # -- topology queries ---------------------------------------------------
 

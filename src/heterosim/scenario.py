@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .mechanics import Joint
-from .model import ModuleKind, ModuleSpec, PortState, World
+from .model import ModuleKind, ModuleSpec, World
 
 
 class UnsupportedDirective(Exception):
@@ -169,7 +169,7 @@ class ModuleSnapshot:
         return self.fallen_port is None
 
     def free_ports(self) -> list[int]:
-        return [p.index for p in self.ports if p.state == PortState.FREE.value]
+        return [p.index for p in self.ports if p.state == "free"]
 
 
 class SensorMemory:
@@ -183,19 +183,27 @@ class SensorMemory:
     """
 
     def get(self, module_id: str) -> ModuleSnapshot:
-        """The snapshot of ``module_id``; a free ground-facing port reads disabled."""
-        st = self._world.modules[module_id]
+        """The snapshot of ``module_id``. A port reads locked while it has a
+        connection, else its approach claim, else disabled if it is free
+        and faces the ground."""
+        world = self._world
+        st = world.modules[module_id]
         fallen = st.posture.fallen_port
+        ports = []
+        for i, conn in enumerate(st.ports):
+            claim = world.claims.get((module_id, i))
+            if conn is not None:
+                ports.append(PortView(i, "locked", conn.other(module_id)))
+            elif claim is not None:
+                ports.append(PortView(i, *claim))
+            else:
+                ports.append(PortView(i, "disabled" if i == fallen else "free", None))
         return ModuleSnapshot(
             module_id=module_id, kind=st.kind, x=st.pose.x, y=st.pose.y,
             heading_deg=st.pose.heading_deg, fallen_port=fallen,
-            soc=st.soc, sharing_on=st.sharing_on, off_ground=module_id in self._world.lifted,
+            soc=st.soc, sharing_on=st.sharing_on, off_ground=module_id in world.lifted,
             busy=module_id in self._busy, joint_bend_deg=st.joint_bend_deg,
-            joint_rotation_deg=st.joint_rotation_deg,
-            ports=tuple(
-                PortView(i, "disabled" if i == fallen and p.state is PortState.FREE
-                         else p.state.value, p.peer)
-                for i, p in enumerate(st.ports)),
+            joint_rotation_deg=st.joint_rotation_deg, ports=tuple(ports),
             messages=tuple(self._inboxes.get(module_id, ())),
         )
 

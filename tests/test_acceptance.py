@@ -250,7 +250,7 @@ def _random_dock_world(rng):
     for mid in ids:
         if rng.random() < 0.25:
             state = world.modules[mid]
-            free = [i for i, p in enumerate(state.ports) if p.state.value == "free"]
+            free = [i for i, p in enumerate(state.ports) if p is None]
             if free:
                 set_posture(world, mid, Posture(fallen_port=rng.choice(free)))
     return world

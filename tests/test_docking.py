@@ -107,9 +107,8 @@ def random_world(rng: random.Random) -> World:
             world.add_connection(DockConnection(a, pa, b, pb, 0))
     for mid in ids:
         if rng.random() < 0.2:
-            st_mod = world.modules[mid]
-            free = [i for i, p in enumerate(st_mod.ports)
-                    if p.state.value == "free"]
+            free = [i for i in range(world.modules[mid].spec.num_ports)
+                    if not world.port_busy(mid, i)]
             if free:
                 set_posture(world, mid, Posture(fallen_port=rng.choice(free)))
     return world
@@ -181,7 +180,7 @@ class TestDockUndock:
         world = two_module_world(ModuleKind.ACTIVE_WHEEL, ModuleKind.BACKBONE)
         set_posture(world, "b", Posture(fallen_port=3))
         dock(world, "a", 0, "b", 1, 0)
-        assert world.modules["b"].ports[1].state.value == "locked"
+        assert world.connection_at("b", 1) == DockConnection("a", 0, "b", 1, 0)
 
     def test_ground_port_stays_on_the_ground_after_undock(self):
         # The posture alone says which port faces the ground, so a peer
@@ -204,7 +203,7 @@ class TestDockUndock:
         dock(world, "a", 0, "b", 2, 0)
         undock(world, next(iter(world.connections.values())))
         assert connected_components(world) == [("a",), ("b",)]
-        assert world.modules["a"].ports[0].state.value == "free"
+        assert not world.port_busy("a", 0)
 
     def test_undock_cycle_edge_keeps_organism_connected(self):
         world = World()

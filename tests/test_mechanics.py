@@ -19,7 +19,6 @@ from heterosim.mechanics import (
 from heterosim.model import (
     DockConnection,
     ModuleKind,
-    PortState,
     Posture,
     World,
     passive_spec,
@@ -227,7 +226,9 @@ class TestSetPosture:
         world.add_module("bb", ModuleKind.BACKBONE)
         set_posture(world, "bb", Posture(fallen_port=3))
         set_posture(world, "bb", Posture())
-        assert world.modules["bb"].ports[3].state is PortState.FREE
+        memory = SensorMemory()
+        memory.refresh(world, set(), {})
+        assert memory.get("bb").ports[3].state == "free"
         assert organism_speed(world, ("bb",)) == 6.0
 
     def test_fallen_wheel_is_also_immobile(self):

@@ -12,7 +12,6 @@ from heterosim.mechanics import Joint, set_posture
 from heterosim.model import (
     DockConnection,
     ModuleKind,
-    PortState,
     Posture,
     World,
     passive_spec,
@@ -288,11 +287,6 @@ class TestDockingThroughEngine:
                 return aborted
         raise AssertionError("no DockAborted within 100 ticks")
 
-    @staticmethod
-    def assert_free(port):
-        assert port.state is PortState.FREE
-        assert port.peer is None
-
     def test_second_approacher_aborts_at_alignment(self):
         # The peer port is taken only at alignment, so a later approacher
         # to the same port is settled there, and frees only its own port.
@@ -313,9 +307,9 @@ class TestDockingThroughEngine:
         aborted = self.run_until_abort(engine)
         assert [(e.subjects, e.data["reason"]) for e in aborted] == [(("s",), "PortBusy")]
         assert "s" not in engine.activities
-        self.assert_free(world.modules["s"].ports[0])
-        held = world.modules["p"].ports[1]
-        assert (held.state, held.peer) == (PortState.ALIGNED, "w")
+        assert not world.port_busy("s", 0)
+        held = engine.memory.get("p").ports[1]
+        assert (held.state, held.peer) == ("aligned", "w")
 
     def test_peer_moving_away_during_handshake_aborts_the_lock(self):
         world = World()
@@ -329,8 +323,8 @@ class TestDockingThroughEngine:
         assert aborted[0].data["reason"].startswith("modules ")
         assert "c" not in engine.activities
         assert not world.connections
-        self.assert_free(world.modules["c"].ports[0])
-        self.assert_free(world.modules["b"].ports[1])
+        assert not world.port_busy("c", 0)
+        assert not world.port_busy("b", 1)
 
     def test_approach_runs_at_the_organism_speed(self):
         # A Scout docked to a Backbone drags it at 6 cm/s, not 12.5 cm/s.
@@ -360,7 +354,7 @@ class TestDockingThroughEngine:
             (("a",), {"reason": "CannotMove"})]
         assert "a" not in engine.activities
         assert world.modules["a"].pose.x == x
-        self.assert_free(world.modules["a"].ports[1])
+        assert not world.port_busy("a", 1)
 
 
 class TestTimelineAndDeterminism:
@@ -1013,8 +1007,8 @@ class TestLiftThroughEngine:
             (35, ("s",), {"reason": "Busy"})]
         assert not engine.log.events_named("Docked")
         world = engine.world
-        assert world.modules["s"].ports[0].state is PortState.FREE
-        assert world.modules["bb"].ports[2].state is PortState.FREE
+        assert not world.port_busy("s", 0)
+        assert not world.port_busy("bb", 2)
         members = world.organism_of("aw1")
         assert members == ("aw1", "bb")
         assert mechanics.organism_speed(world, members) == 31.0
