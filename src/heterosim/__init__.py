@@ -34,7 +34,6 @@ from .powerbus import (
 from .commnet import wired_hops, wireless_broadcast
 from .mechanics import (
     Joint,
-    LiftQuery,
     actuation_duration,
     lift_feasible,
     organism_speed,

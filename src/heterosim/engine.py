@@ -256,9 +256,6 @@ class Engine:
                 self._reject(module_id, directive, "Busy")
                 return
             speed_cm = mechanics.organism_speed(world, members)
-            if speed_cm <= 0:
-                self._reject(module_id, directive, "CannotMove")
-                return
             self.activities[module_id] = _Move(directive.distance_m)
             self.emit("MoveStart", (module_id,), {
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
@@ -353,11 +350,7 @@ class Engine:
         state = world.modules[module_id]
         try:
             duration = mechanics.actuation_duration(
-                world, module_id, directive.joint, directive.target_deg,
-                chain=world.lifted_chain(module_id))
-        except mechanics.TorqueExceeded:
-            self._reject(module_id, directive, "TorqueExceeded")
-            return
+                world, module_id, directive.joint, directive.target_deg)
         except mechanics.JointLimitExceeded:
             self._reject(module_id, directive, "JointLimit")
             return
@@ -375,9 +368,8 @@ class Engine:
         if module_id in world.lifted.values():
             self._reject(module_id, directive, "Busy")
             return
-        query = mechanics.LiftQuery(module_id, Joint.BEND, tuple(directive.chain))
         try:
-            assessment = mechanics.lift_feasible(world, query)
+            assessment = mechanics.lift_feasible(world, module_id, directive.chain)
         except (ValueError, KeyError):
             self._reject(module_id, directive, "BadTarget")
             return

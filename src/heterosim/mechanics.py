@@ -2,7 +2,10 @@
 
 Lift feasibility is quasi-static: a cantilevered chain of docked modules
 loads the lifting joint with the sum of per-module gravity moments, one
-pitch of lever arm per chain position. Joint actuation is constant-rate.
+pitch of lever arm per chain position. That moment does not depend on
+the joint angle, so torque is checked once, when a ``LiftChain`` starts;
+a lifter's joint moves while it holds its chain are not checked again.
+Joint actuation is constant-rate.
 Organism speed follows the slowest ground-contact driver; in the carrying
 configuration the wheels are the only drivers, so they set the pace.
 """
@@ -24,28 +27,10 @@ class JointLimitExceeded(Exception):
     pass
 
 
-class TorqueExceeded(Exception):
-    def __init__(self, required_nm: float, available_nm: float):
-        super().__init__(
-            f"required torque {required_nm:.3f} N*m exceeds {available_nm:.3f} N*m")
-        self.required_nm = required_nm
-        self.available_nm = available_nm
-
-
-@dataclass(frozen=True)
-class LiftQuery:
-    """A lifter plus the ordered chain of modules hanging past its joint."""
-
-    lifter: str
-    joint: Joint
-    chain: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class LiftAssessment:
     feasible: bool
     required_torque_nm: float
-    available_torque_nm: float
 
 
 def required_lift_torque(masses_kg: Sequence[float], pitch_m: float,
@@ -54,38 +39,33 @@ def required_lift_torque(masses_kg: Sequence[float], pitch_m: float,
     return sum(m * gravity * (i + 1) * pitch_m for i, m in enumerate(masses_kg))
 
 
-def _validate_chain(world: World, query: LiftQuery) -> None:
-    if not query.chain:
+def lift_feasible(world: World, lifter: str, chain: Sequence[str]) -> LiftAssessment:
+    """Whether the lifter's bend-joint torque covers the gravity moment of
+    ``chain``, the ordered modules hanging past its joint.
+
+    Infeasibility is a value, not an error; a chain that is not a docked
+    path from the lifter, or a lifter with no bend joint, raises.
+    """
+    if not chain:
         raise ValueError("chain must be nonempty")
-    if query.lifter in query.chain:
+    if lifter in chain:
         raise ValueError("lifter cannot be part of its own chain")
-    if len(set(query.chain)) != len(query.chain):
+    if len(set(chain)) != len(chain):
         raise ValueError("chain repeats a module")
     adj = world.adjacency()
-    previous = query.lifter
-    for mid in query.chain:
+    previous = lifter
+    for mid in chain:
         if mid not in world.modules:
             raise KeyError(mid)
         if mid not in adj[previous]:
             raise ValueError(f"{mid} is not docked to {previous}; chain is not a path")
         previous = mid
-
-
-def lift_feasible(world: World, query: LiftQuery) -> LiftAssessment:
-    """Whether the lifter's joint torque covers the chain's gravity moment.
-
-    Infeasibility is a value, not an error.
-    """
-    _validate_chain(world, query)
-    lifter = world.modules[query.lifter]
-    if query.joint is Joint.BEND and lifter.spec.bend_limit_deg <= 0:
-        raise ValueError(f"{query.lifter} has no bend joint")
-    if query.joint is Joint.ROTATION and lifter.spec.rotation_limit_deg <= 0:
-        raise ValueError(f"{query.lifter} has no rotation joint")
-    masses = [world.modules[mid].spec.mass_kg for mid in query.chain]
+    spec = world.modules[lifter].spec
+    if spec.bend_limit_deg <= 0:
+        raise ValueError(f"{lifter} has no bend joint")
+    masses = [world.modules[mid].spec.mass_kg for mid in chain]
     required = required_lift_torque(masses, world.config.module_pitch, world.config.gravity)
-    available = lifter.spec.max_torque_nm
-    return LiftAssessment(required <= available, required, available)
+    return LiftAssessment(required <= spec.max_torque_nm, required)
 
 
 def joint_travel_s(spec: ModuleSpec, from_deg: float, to_deg: float) -> float:
@@ -98,14 +78,12 @@ def actuation_duration(
     module_id: str,
     joint: Joint,
     target_deg: float,
-    chain: tuple[str, ...] = (),
 ) -> float:
     """Seconds to move a joint to ``target_deg`` at the platform's rate.
 
-    Raises :class:`JointLimitExceeded` outside the spec's range and
-    :class:`TorqueExceeded` when a currently attached chain is too heavy.
-    The engine applies the new angle at the completion tick; there is no
-    overshoot model.
+    Raises :class:`JointLimitExceeded` outside the spec's range. The engine
+    applies the new angle at the completion tick; there is no overshoot
+    model.
     """
     state = world.modules[module_id]
     spec = state.spec
@@ -115,11 +93,6 @@ def actuation_duration(
     if abs(target_deg) > limit:
         raise JointLimitExceeded(
             f"target {target_deg} outside +/-{limit} deg for {module_id}")
-    if chain:
-        assessment = lift_feasible(world, LiftQuery(module_id, joint, tuple(chain)))
-        if not assessment.feasible:
-            raise TorqueExceeded(
-                assessment.required_torque_nm, assessment.available_torque_nm)
     current = state.joint_bend_deg if joint is Joint.BEND else state.joint_rotation_deg
     if spec.actuation_speed_deg_s <= 0:
         raise JointLimitExceeded(f"{module_id} cannot actuate")

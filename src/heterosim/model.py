@@ -377,8 +377,6 @@ class World:
         for mid, port in conn.endpoints():
             if self.modules[mid].ports[port] is not None:
                 raise ValueError(f"port {port} of {mid} already carries a connection")
-        if conn.key in self.connections:
-            raise ValueError(f"duplicate connection {conn.key}")
         self.connections[conn.key] = conn
         self._organisms = None
         for mid, port in conn.endpoints():

@@ -15,7 +15,7 @@ from heterosim.cli import main
 from heterosim.config import SimConfig
 from heterosim.docking import can_dock, dock, holding_power
 from heterosim.experiments import run_assembly_experiment, run_rescue_experiment
-from heterosim.mechanics import Joint, LiftQuery, lift_feasible
+from heterosim.mechanics import lift_feasible
 from heterosim.model import (
     DockConnection,
     ModuleKind,
@@ -106,7 +106,7 @@ def test_criterion_3_lift_oracle_agreement():
         masses = [rng.uniform(0.5, 2.0) for _ in range(rng.randint(1, 6))]
         kind = rng.choice(lifters)
         world, chain = _chain_world(kind, masses)
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        result = lift_feasible(world, "lift", chain)
         required = 0.0
         arm = 0.0
         for mass in masses:          # independent per-module moment sum
@@ -116,11 +116,11 @@ def test_criterion_3_lift_oracle_agreement():
         assert result.feasible == (required <= spec_for(kind).max_torque_nm)
 
     world, chain = _chain_world(ModuleKind.SCOUT, [1.0, 1.0])
-    assert lift_feasible(world, LiftQuery("lift", Joint.BEND, chain)).feasible
+    assert lift_feasible(world, "lift", chain).feasible
     world, chain = _chain_world(ModuleKind.SCOUT, [1.0, 1.0, 1.0])
-    assert not lift_feasible(world, LiftQuery("lift", Joint.BEND, chain)).feasible
+    assert not lift_feasible(world, "lift", chain).feasible
     world, chain = _chain_world(ModuleKind.BACKBONE, [1.0, 1.0, 1.0])
-    assert lift_feasible(world, LiftQuery("lift", Joint.BEND, chain)).feasible
+    assert lift_feasible(world, "lift", chain).feasible
     report_line(3, "lift feasibility matches the moment-sum oracle on 1000 "
                    "random chains; 2/3-chain cases as published")
 

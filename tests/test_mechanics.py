@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from heterosim.mechanics import (
     Joint,
     JointLimitExceeded,
-    LiftQuery,
-    TorqueExceeded,
     actuation_duration,
     lift_feasible,
     organism_speed,
@@ -58,19 +56,19 @@ def moment_sum_oracle(masses, pitch=PITCH):
 class TestLiftFeasible:
     def test_scout_lifts_two_modules(self):
         world, chain = lifter_with_chain(ModuleKind.SCOUT, [1.0, 1.0])
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        result = lift_feasible(world, "lift", chain)
         assert result.required_torque_nm == pytest.approx(3.09015, abs=1e-9)
         assert result.feasible
 
     def test_scout_cannot_lift_three(self):
         world, chain = lifter_with_chain(ModuleKind.SCOUT, [1.0, 1.0, 1.0])
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        result = lift_feasible(world, "lift", chain)
         assert result.required_torque_nm == pytest.approx(6.1803, abs=1e-9)
         assert not result.feasible
 
     def test_backbone_lifts_three(self):
         world, chain = lifter_with_chain(ModuleKind.BACKBONE, [1.0, 1.0, 1.0])
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        result = lift_feasible(world, "lift", chain)
         assert result.feasible
 
     def test_wheel_lifts_one_backbone(self):
@@ -78,20 +76,28 @@ class TestLiftFeasible:
         world.add_module("aw", ModuleKind.ACTIVE_WHEEL, pos=(0.0, 0.0))
         world.add_module("bb", ModuleKind.BACKBONE, pos=(PITCH, 0.0))
         world.add_connection(DockConnection("aw", 0, "bb", 0, 0))
-        result = lift_feasible(world, LiftQuery("aw", Joint.ROTATION, ("bb",)))
+        result = lift_feasible(world, "aw", ("bb",))
         assert result.required_torque_nm == pytest.approx(1.03005, abs=1e-9)
         assert result.feasible
 
     def test_chain_must_be_a_docked_path(self):
         world, chain = lifter_with_chain(ModuleKind.SCOUT, [1.0, 1.0])
         with pytest.raises(ValueError):
-            lift_feasible(world, LiftQuery("lift", Joint.BEND, (chain[1], chain[0])))
+            lift_feasible(world, "lift", (chain[1], chain[0]))
+
+    def test_lifter_needs_a_bend_joint(self):
+        world = World()
+        world.add_module("p", ModuleKind.PASSIVE, pos=(0.0, 0.0))
+        world.add_module("c", ModuleKind.PASSIVE, pos=(PITCH, 0.0))
+        world.add_connection(DockConnection("p", 0, "c", 0, 0))
+        with pytest.raises(ValueError, match="p has no bend joint"):
+            lift_feasible(world, "p", ("c",))
 
     @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=6))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_moment_oracle(self, masses):
         world, chain = lifter_with_chain(ModuleKind.BACKBONE, masses)
-        result = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        result = lift_feasible(world, "lift", chain)
         oracle = moment_sum_oracle(masses)
         assert result.required_torque_nm == pytest.approx(oracle, rel=1e-12)
         assert result.feasible == (oracle <= 7.0)
@@ -101,9 +107,9 @@ class TestLiftFeasible:
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_longer_chain_never_becomes_feasible(self, masses, extra):
         world, chain = lifter_with_chain(ModuleKind.SCOUT, masses)
-        shorter = lift_feasible(world, LiftQuery("lift", Joint.BEND, chain))
+        shorter = lift_feasible(world, "lift", chain)
         world2, chain2 = lifter_with_chain(ModuleKind.SCOUT, masses + [extra])
-        longer = lift_feasible(world2, LiftQuery("lift", Joint.BEND, chain2))
+        longer = lift_feasible(world2, "lift", chain2)
         if not shorter.feasible:
             assert not longer.feasible
 
@@ -137,11 +143,6 @@ class TestActuationDuration:
     def test_passive_has_no_joints(self, world):
         with pytest.raises(JointLimitExceeded):
             actuation_duration(world, "p", Joint.BEND, 10.0)
-
-    def test_torque_check_with_attached_chain(self):
-        world, chain = lifter_with_chain(ModuleKind.SCOUT, [1.0, 1.0, 1.0])
-        with pytest.raises(TorqueExceeded):
-            actuation_duration(world, "lift", Joint.BEND, 45.0, chain=chain)
 
 
 def carrying_world():

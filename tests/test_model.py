@@ -103,6 +103,20 @@ class TestConnectionCanonicalization:
         assert conn.orientation_deg == 270
 
 
+class TestAddConnection:
+    @pytest.mark.parametrize("named_from", ["a", "b"])
+    def test_re_adding_a_live_connection_is_refused(self, named_from):
+        world = World()
+        world.add_module("a", ModuleKind.BACKBONE, pos=(0.0, 0.0))
+        world.add_module("b", ModuleKind.BACKBONE, pos=(0.105, 0.0))
+        world.add_connection(DockConnection("a", 1, "b", 3, 0))
+        again = (DockConnection("a", 1, "b", 3, 0) if named_from == "a"
+                 else DockConnection("b", 3, "a", 1, 0))
+        with pytest.raises(ValueError, match="already carries a connection"):
+            world.add_connection(again)
+        assert list(world.connections) == [("a", 1, "b", 3)]
+
+
 def chain_world(n, kind=ModuleKind.BACKBONE):
     world = World()
     for i in range(n):
