@@ -30,6 +30,8 @@ class BatteryModel:
 
     Open-circuit voltage is a linear function of state of charge between the
     empty and full cell voltages; the nominal 22.2 V sits on that line.
+    Construction derives ``span`` (``v_full - v_empty``) and ``conductance``
+    (``1 / internal_resistance``): plain attributes, not fields, for the bus.
     """
 
     cells: int = 6
@@ -41,11 +43,15 @@ class BatteryModel:
     def __post_init__(self) -> None:
         if self.energy_full_wh < 0:
             raise ValueError(f"battery energy must be >= 0 Wh, got {self.energy_full_wh}")
+        if not self.internal_resistance > 0:
+            raise ValueError(f"internal resistance must be > 0 ohm, got {self.internal_resistance}")
+        object.__setattr__(self, "span", self.v_full - self.v_empty)
+        object.__setattr__(self, "conductance", 1.0 / self.internal_resistance)
 
     def voltage(self, soc: float) -> float:
         if not 0.0 <= soc <= 1.0:
             raise ValueError(f"soc out of range [0, 1]: {soc}")
-        return self.v_empty + soc * (self.v_full - self.v_empty)
+        return self.v_empty + soc * self.span
 
 
 #: Battery fitted to Scout, Backbone and Active Wheel.
@@ -303,20 +309,22 @@ class ModuleState:
         return self.soc > 0.0
 
 
-#: The organisms sorted by smallest member, and each member's organism.
-_Organisms = tuple[list[tuple[str, ...]], dict[str, tuple[str, ...]]]
+#: The organisms sorted by smallest member, each member's organism, each one's largest v_full.
+_Organisms = tuple[list[tuple[str, ...]], dict[str, tuple[str, ...]], dict[tuple[str, ...], float]]
 
 
 class World:
     """All modules plus their docked connections at one instant.
 
     A world is owned by exactly one simulation run; every mutator works in
-    place and returns the world for chaining. The organisms are cached and
+    place and returns the world for chaining. The organisms, with each one's
+    largest pack ``v_full`` (its bus reserve and headroom), are cached and
     rebuilt on the first query after ``add_module``, ``add_connection`` or
     ``remove_connection``, so ``modules`` and ``connections`` must only be
-    changed through those. ``lifted`` maps each module off the ground to
-    its lifter, in chain order, and ``claims`` maps each port an approach
-    holds to its (state, peer); the engine keeps both.
+    changed through those, and a module's pack is fixed once it is added.
+    ``lifted`` maps each module off the ground to its lifter, in chain
+    order, and ``claims`` maps each port an approach holds to its (state,
+    peer); the engine keeps both.
     """
 
     def __init__(self, config: SimConfig | None = None):
@@ -417,6 +425,7 @@ class World:
             adj = self.adjacency()
             organism: dict[str, tuple[str, ...]] = {}
             components: list[tuple[str, ...]] = []
+            v_full: dict[tuple[str, ...], float] = {}
             # Each walk starts at the smallest id not yet placed, which is
             # its organism's smallest member: the list comes out sorted.
             for start in sorted(self.modules):
@@ -434,7 +443,8 @@ class World:
                 for mid in members:
                     organism[mid] = members
                 components.append(members)
-            self._organisms = (components, organism)
+                v_full[members] = max([self.modules[mid].spec.battery.v_full for mid in members])
+            self._organisms = (components, organism, v_full)
         return self._organisms
 
     def lifted_chain(self, lifter: str) -> tuple[str, ...]:

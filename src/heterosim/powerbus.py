@@ -14,12 +14,15 @@ voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
 first segment that holds one.
 
 A solve is one pass over the members, which also collects the breakpoints,
-then that scan. It returns a :class:`BusSolution`, the operating point, from
-which :func:`step_energy` applies each source's current; the per-member
-dicts of a solution are views of it, built when read. Each sum over the
-members (the loads, the balance at a voltage) is a ``math.fsum``, which
-rounds once; the scan's A and B and the energy ledger add with ``+=`` in
-member order. Either way the floats are the same on every Python version
+then that scan; it reads each pack's derived ``span`` and ``conductance``.
+It returns a :class:`BusSolution`, the operating point. :func:`step_energy`
+takes each organism's reserve and headroom from the largest ``v_full``,
+cached with the world's organisms, and applies each source's current where
+it reads the sources, as :meth:`BusSolution.flows` computes it; the
+per-member dicts of a solution are views of it, built when read. Each sum
+over the members (the loads, the balance at a voltage) is a ``math.fsum``,
+which rounds once; the scan's A and B and the energy ledger add with ``+=``
+in member order. Either way the floats are the same on every Python version
 (``sum()`` of floats rounds differently from 3.12 on), and digests in the
 tests pin them bit for bit.
 """
@@ -168,18 +171,23 @@ def solve_bus(
         if full <= 0:
             continue
         stored = soc * full
+        # Each source's v_oc is BatteryModel.voltage written inline, check included.
         if st.sharing_on:
             if stored > 0 and stored >= min_supplier_stored_wh:
-                v_oc, r = battery.voltage(soc), battery.internal_resistance
+                if not 0.0 <= soc <= 1.0:
+                    raise ValueError(f"soc out of range [0, 1]: {soc}")
+                v_oc, r = battery.v_empty + soc * battery.span, battery.internal_resistance
                 v_hi = v_oc if v_oc > v_hi else v_hi
                 v_lo = battery.v_empty if battery.v_empty < v_lo else v_lo
                 sources.append((st, v_oc, r, True))
-                suppliers.append((v_oc, r, v_oc / r, 1.0 / r))
+                suppliers.append((v_oc, r, v_oc / r, battery.conductance))
                 points += (v_oc, v_oc - limit * r)
         elif recharge and stored <= full - charge_headroom_wh:
-            v_oc, r = battery.voltage(soc), battery.internal_resistance
+            if not 0.0 <= soc <= 1.0:
+                raise ValueError(f"soc out of range [0, 1]: {soc}")
+            v_oc, r = battery.v_empty + soc * battery.span, battery.internal_resistance
             sources.append((st, v_oc, r, False))
-            chargers.append((v_oc, r, v_oc / r, 1.0 / r))
+            chargers.append((v_oc, r, v_oc / r, battery.conductance))
             points += (v_oc, v_oc + cap * r)
     total_load_w = math.fsum(loads.values())
 
@@ -188,7 +196,7 @@ def solve_bus(
             raise NoSupplier(
                 f"demand {total_load_w:.3f} W with no exporting module", members)
         return BusSolution(members, 0.0, {}, [], limit, cap)
-    if total_load_w / v_hi == 0.0 and all(v_oc >= v_hi for v_oc, _, _, _ in chargers):
+    if total_load_w / v_hi == 0.0 and (not chargers or all(v_oc >= v_hi for v_oc, *_ in chargers)):
         # Open circuit: no charger sits below the strongest source and the
         # load draws no current there (not even rounded), so the node floats.
         return BusSolution(members, v_hi, {}, [], limit, cap)
@@ -284,27 +292,29 @@ def step_energy(world: World, dt: float) -> World:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0: {dt}")
-    cfg, modules = world.config, world.modules
+    cfg = world.config
     limit, cap = cfg.current_limit_a, cfg.recharge_max_a
     hours = dt / 3600.0
     # Solve every organism before touching any battery, so a brown-out on
     # one organism leaves the whole world untouched (the engine may shed
     # loads and retry the step). Rounding is monotone, so the largest v_full
-    # gives the largest reserve and headroom of any member.
-    solutions = []
-    for members in connected_components(world):
-        v_full = max([modules[mid].spec.battery.v_full for mid in members])
-        solutions.append(solve_bus(
-            world,
-            members,
-            min_supplier_stored_wh=v_full * limit * hours,
-            charge_headroom_wh=v_full * cap * hours,
-        ))
+    # (the world caches it with the organisms) sets the largest reserve and
+    # headroom of any member.
+    organisms, v_full = connected_components(world), world._index()[2]
+    solutions = [solve_bus(world, members,
+                           min_supplier_stored_wh=v_full[members] * limit * hours,
+                           charge_headroom_wh=v_full[members] * cap * hours)
+                 for members in organisms]
     delivered = world.delivered_load_wh
     loss = world.resistive_loss_wh
     for solution in solutions:
         v = solution.bus_voltage
-        for st, v_oc, _, amps in solution.flows():
+        for st, v_oc, r, exports in solution.sources:
+            # The current out of the pack, as BusSolution.flows() gives it.
+            if exports:
+                amps = limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
+            else:
+                amps = -(cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x)
             if amps:
                 # ModuleState.set_stored_wh, written inline; a source has a pack.
                 full = st.spec.battery.energy_full_wh

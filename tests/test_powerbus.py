@@ -2,17 +2,21 @@
 import hashlib
 import math
 import random
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from heterosim.config import SimConfig
 from heterosim.model import (
+    STANDARD_BATTERY,
     BatteryModel,
     DockConnection,
     ModuleKind,
     World,
+    connected_components,
     passive_spec,
+    spec_for,
 )
 from heterosim.powerbus import (
     InsufficientSupply,
@@ -533,6 +537,126 @@ class TestReserveAndHeadroom:
         world = self.pack(config, soc, sharing=False)
         step_energy(world, 60.0)
         assert world.modules["m0"].soc == soc
+
+
+class TestReserveFollowsTopology:
+    """The reserve and headroom of each organism come from its largest
+    ``v_full``, which changes when a pack of another ``v_full`` docks,
+    undocks or is added. The 1 Wh pack ``a`` is the only exporter of its
+    organism and holds more than the reserve of a 25.2 V organism but less
+    than that of a 27 V one, so the 27 V pack ``h`` takes over while it is
+    docked."""
+
+    HOURS = 10.0 / 3600.0
+
+    @staticmethod
+    def add(world, mid, v_full, soc, sharing=True, load=0.0, energy_wh=33.0):
+        battery = BatteryModel(v_full=v_full, energy_full_wh=energy_wh)
+        spec = replace(spec_for(ModuleKind.BACKBONE), battery=battery)
+        world.add_module(mid, ModuleKind.BACKBONE, pos=(0.105 * len(world.modules), 0.0),
+                         spec=spec, soc=soc, sharing_on=sharing).load_draw_w = load
+
+    def step(self, world, digest):
+        """One 10 s step, then every organism's solve with the reserve and
+        headroom of its largest v_full, the SOCs and the ledger."""
+        step_energy(world, 10.0)
+        for members in connected_components(world):
+            v_full = max(world.modules[mid].spec.battery.v_full for mid in members)
+            try:
+                line = repr(solve_bus(world, members,
+                                      min_supplier_stored_wh=v_full * LIMIT * self.HOURS,
+                                      charge_headroom_wh=v_full * CHARGE_CAP * self.HOURS))
+            except PowerBusError as exc:
+                line = type(exc).__name__
+            digest.update(line.encode() + b"\n")
+        line = repr(([st.soc for st in world.modules.values()],
+                     world.delivered_load_wh, world.resistive_loss_wh))
+        digest.update(line.encode() + b"\n")
+
+    def test_docking_undocking_and_adding_move_the_reserve(self):
+        world = World()
+        low, high = 25.2 * LIMIT * self.HOURS, 27.0 * LIMIT * self.HOURS
+        self.add(world, "a", 25.2, (low + high) / 2, energy_wh=1.0)
+        self.add(world, "b", 25.2, 0.9, sharing=False, load=1.0)
+        # c, switched off, is within the headroom of a 25.2 V organism only.
+        top = 1.0 - (25.2 + 27.0) / 2 * CHARGE_CAP * self.HOURS
+        self.add(world, "c", 25.2, top, sharing=False, energy_wh=1.0)
+        self.add(world, "h", 27.0, 0.9)
+        world.add_connection(DockConnection("a", 1, "b", 0))
+        world.add_connection(DockConnection("b", 1, "c", 0))
+        a, digest = world.modules["a"], hashlib.sha256()
+
+        soc = a.soc
+        self.step(world, digest)
+        assert low < a.soc < soc  # a exports above the 25.2 V reserve
+        hc = DockConnection("c", 1, "h", 0)
+        world.add_connection(hc)
+        soc = a.soc
+        self.step(world, digest)
+        assert a.soc == soc  # below the 27 V reserve, a sits the step out
+        world.remove_connection(hc.key)
+        self.step(world, digest)
+        assert a.soc < soc
+        # A lone 30 V pack holding exactly its own reserve still exports.
+        self.add(world, "z", 30.0, 30.0 * LIMIT * self.HOURS, load=5.0, energy_wh=1.0)
+        soc = world.modules["z"].soc
+        self.step(world, digest)
+        assert world.modules["z"].soc < soc
+        assert digest.hexdigest() == RESERVE_DIGEST
+
+
+#: sha256 of the solves, SOCs and ledgers of the test above.
+RESERVE_DIGEST = "72157e5443969915e8bb8375335d833a838dd509fadb916a4b90487297900cdf"
+
+
+class TestSolveBusInputs:
+    """``solve_bus`` takes the organism as any collection of member ids:
+    ``None`` on a one-organism world, a tuple in any order, a list, or a
+    strict subset of an organism (solved as a bus of its own). Each solves
+    as the sorted tuple does, before and after ``step_energy`` has built
+    the world's organisms."""
+
+    def test_every_form_solves_as_the_sorted_tuple(self):
+        world = chain_organism([{"soc": 1.0}, {"soc": 0.6, "load": 5.5},
+                                {"soc": 0.1, "sharing": False},
+                                {"kind": ModuleKind.PASSIVE, "load": 30.0}])
+        inputs = [None, ("m3", "m1", "m0", "m2"), ["m2", "m0", "m3", "m1"],
+                  ("m0", "m1", "m3"), ["m0", "m1", "m2", "m3"]]
+        for _ in range(2):
+            for organism in inputs:
+                members = tuple(sorted(world.modules if organism is None else organism))
+                assert repr(solve_bus(world, organism)) == repr(solve_bus(world, members))
+            step_energy(world, 1.0)
+
+
+class TestSourceRangeCheck:
+    """A source's SOC outside [0, 1] raises as ``BatteryModel.voltage``
+    does; the pack's constants and voltages read as they always have."""
+
+    @pytest.mark.parametrize("soc, sharing", [(1.2, True), (-0.1, False)])
+    def test_a_source_soc_out_of_range_raises(self, soc, sharing):
+        world = chain_organism([{"soc": 1.0, "load": 5.0}, {"soc": 0.5, "sharing": sharing}])
+        world.modules["m1"].soc = soc
+        with pytest.raises(ValueError, match=rf"^soc out of range \[0, 1\]: {soc}$"):
+            solve_bus(world)
+
+    def test_the_pack_reads_as_before(self):
+        assert repr(STANDARD_BATTERY) == ("BatteryModel(cells=6, energy_full_wh=33.0, "
+                                          "v_full=25.2, v_empty=19.8, internal_resistance=0.1)")
+        assert [f.name for f in fields(BatteryModel)] == [
+            "cells", "energy_full_wh", "v_full", "v_empty", "internal_resistance"]
+        assert STANDARD_BATTERY == BatteryModel()
+        small = replace(STANDARD_BATTERY, energy_full_wh=5.0)
+        assert small == BatteryModel(energy_full_wh=5.0) != STANDARD_BATTERY
+        assert repr(small) == repr(STANDARD_BATTERY).replace("33.0", "5.0")
+        assert hash(small) == hash(BatteryModel(energy_full_wh=5.0))
+        volts = [STANDARD_BATTERY.voltage(i / 1000) for i in range(1001)]
+        assert volts == [V_EMPTY + i / 1000 * (V_FULL - V_EMPTY) for i in range(1001)]
+
+    @pytest.mark.parametrize("ohms", [0.0, -0.1, math.nan])
+    def test_a_pack_needs_a_positive_resistance(self, ohms):
+        with pytest.raises(ValueError, match="internal resistance must be > 0 ohm"):
+            BatteryModel(internal_resistance=ohms)
 
 
 def digest_entries(rng):
