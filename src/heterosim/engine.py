@@ -8,19 +8,18 @@ records the busy modules and this tick's inboxes for the next reads;
 (8) event emission. All contention is broken by ascending module id, so
 identical inputs always produce identical logs.
 
-A module runs at most one activity, a small dataclass per kind, and an
-organism at most one move or approach, at its ground speed. An approach
-claims the initiator's port in ``world.claims`` (approaching -> aligned);
-the peer's port is only claimed at alignment, so two approaches to one port
-are settled there and the later one aborts with ``PortBusy``. A module held
-up by a lift, done or under way, neither lifts, docks nor undocks, no module
-docks onto it, and no lift takes a module held up or holding a chain. Once
-halted, ``step`` does nothing.
+A module runs at most one activity, a small slotted record per kind (an
+undock's is its ``Undock`` directive), and an organism at most one move or
+approach, at its ground speed. An approach claims the initiator's port in
+``world.claims`` (approaching -> aligned); the peer's port is only claimed
+at alignment, so two approaches to one port are settled there and the later
+one aborts with ``PortBusy``. A module held up by a lift, done or under way,
+neither lifts, docks nor undocks, no module docks onto it, and no lift takes
+a module held up or holding a chain. Once halted, ``step`` does nothing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
@@ -60,53 +59,64 @@ class Controller(Protocol):
                 issue, emit) -> None: ...
 
 
-@dataclass
 class _Move:
-    remaining_m: float
+    __slots__ = ("remaining_m",)
+
+    def __init__(self, remaining_m: float) -> None:
+        self.remaining_m = remaining_m
 
 
-@dataclass
-class _Unlock:
-    port: int
-
-
-@dataclass
 class _Approach:
-    peer: str
-    own_port: int
-    peer_port: int
-    orientation_deg: int
-    handshake_left_s: float
+    __slots__ = ("peer", "own_port", "peer_port", "orientation_deg", "handshake_left_s")
+
+    def __init__(self, peer: str, own_port: int, peer_port: int,
+                 orientation_deg: int, handshake_left_s: float) -> None:
+        self.peer = peer
+        self.own_port = own_port
+        self.peer_port = peer_port
+        self.orientation_deg = orientation_deg
+        self.handshake_left_s = handshake_left_s
 
 
-@dataclass
 class _Timed:
-    remaining_s: float
+    __slots__ = ("remaining_s",)
+
+    def __init__(self, remaining_s: float) -> None:
+        self.remaining_s = remaining_s
 
 
-@dataclass
 class _Turn(_Timed):
-    target_deg: int
+    __slots__ = ("target_deg",)
+
+    def __init__(self, remaining_s: float, target_deg: int) -> None:
+        self.remaining_s = remaining_s
+        self.target_deg = target_deg
 
 
-@dataclass
 class _Actuate(_Timed):
-    joint: Joint
-    target_deg: float
+    __slots__ = ("joint", "target_deg")
+
+    def __init__(self, remaining_s: float, joint: Joint, target_deg: float) -> None:
+        self.remaining_s = remaining_s
+        self.joint = joint
+        self.target_deg = target_deg
 
 
-@dataclass
 class _Lift(_Timed):
-    chain: tuple[str, ...]
-    angle_deg: float
+    __slots__ = ("chain", "angle_deg")
+
+    def __init__(self, remaining_s: float, chain: tuple[str, ...], angle_deg: float) -> None:
+        self.remaining_s = remaining_s
+        self.chain = chain
+        self.angle_deg = angle_deg
 
 
 class _Lower(_Timed):
-    pass
+    __slots__ = ()
 
 
 class _Wait(_Timed):
-    pass  # busy, but draws no drive power
+    __slots__ = ()  # busy, but draws no drive power
 
 
 class Engine:
@@ -129,7 +139,7 @@ class Engine:
         self.shed_policy = shed_policy
         self.log = EventLog()
         self.memory = SensorMemory()
-        self.activities: dict[str, _Move | _Unlock | _Approach | _Timed] = {}
+        self.activities: dict[str, _Move | Undock | _Approach | _Timed] = {}
         self.halted = False
         self._timeline_pos = 0
         self._tick_events: list[Event] = []
@@ -203,7 +213,7 @@ class Engine:
 
         # Phase 4: docking transitions.
         for module_id in sorted([mid for mid, activity in self.activities.items()
-                                 if isinstance(activity, (_Unlock, _Approach))]):
+                                 if isinstance(activity, (Undock, _Approach))]):
             self._dock_transition(module_id)
 
         # Phase 5: energy step.
@@ -277,7 +287,7 @@ class Engine:
                     or state.ports[directive.port] is None:
                 self._reject(module_id, directive, "BadTarget")
                 return
-            self.activities[module_id] = _Unlock(directive.port)
+            self.activities[module_id] = directive
         elif isinstance(directive, ActuateJoint):
             self._dispatch_actuation(module_id, directive)
         elif isinstance(directive, SetSharing):
@@ -480,14 +490,14 @@ class Engine:
     def _dock_transition(self, module_id: str) -> None:
         activity = self.activities[module_id]
         world = self.world
-        if isinstance(activity, _Unlock):
+        if isinstance(activity, Undock):
             conn = world.connection_at(module_id, activity.port)
             del self.activities[module_id]
             if conn is None:
-                self._reject(module_id, Undock(activity.port), "BadTarget")
+                self._reject(module_id, activity, "BadTarget")
                 return
             if self._held_up(conn.module_a) or self._held_up(conn.module_b):
-                self._reject(module_id, Undock(activity.port), "Busy")
+                self._reject(module_id, activity, "Busy")
                 return
             docking.undock(world, conn)
             self.emit("Undocked", (conn.module_a, conn.module_b), {

@@ -11,9 +11,8 @@ configuration the wheels are the only drivers, so they set the pace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .model import ModuleSpec, Posture, World
 
@@ -27,8 +26,7 @@ class JointLimitExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LiftAssessment:
+class LiftAssessment(NamedTuple):
     feasible: bool
     required_torque_nm: float
 

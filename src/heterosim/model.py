@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .config import DEFAULT_CONFIG, SimConfig
 
@@ -197,8 +197,7 @@ class Pose:
             raise ValueError(f"heading must be one of {HEADINGS}: {self.heading_deg}")
 
 
-@dataclass(frozen=True)
-class Posture:
+class Posture(NamedTuple):
     """Upright, or lying on the face that carries port ``fallen_port``."""
 
     fallen_port: Optional[int] = None

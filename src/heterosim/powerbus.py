@@ -29,7 +29,6 @@ tests pin them bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     BatteryModel,
@@ -59,7 +58,6 @@ def open_circuit_voltage(soc: float, battery: BatteryModel = STANDARD_BATTERY) -
     return battery.voltage(soc)
 
 
-@dataclass(repr=False, eq=False, slots=True)
 class BusSolution:
     """One organism's operating point for one step: the bus voltage, the
     watts of each member that draws, and the battery sources as (state,
@@ -68,12 +66,17 @@ class BusSolution:
     per-member dicts are views of it, built when read, keyed by every member.
     """
 
-    organism: tuple[str, ...]
-    bus_voltage: float
-    loads: dict[str, float]
-    sources: list[tuple[ModuleState, float, float, bool]]
-    limit: float  # A, the export limiter
-    cap: float    # A, the recharge cap
+    __slots__ = ("organism", "bus_voltage", "loads", "sources", "limit", "cap")
+
+    def __init__(self, organism: tuple[str, ...], bus_voltage: float, loads: dict[str, float],
+                 sources: list[tuple[ModuleState, float, float, bool]],
+                 limit: float, cap: float) -> None:
+        self.organism = organism
+        self.bus_voltage = bus_voltage
+        self.loads = loads
+        self.sources = sources
+        self.limit = limit  # A, the export limiter
+        self.cap = cap      # A, the recharge cap
 
     def flows(self) -> list[tuple[ModuleState, float, bool, float]]:
         """A list, in member order, of each source's state, open-circuit

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .mechanics import Joint
 from .model import ModuleKind, ModuleSpec, World
@@ -26,57 +26,47 @@ class UnsupportedDirective(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     distance_m: float
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(NamedTuple):
     angle_deg: int  # +/-90 or +/-180
 
 
-@dataclass(frozen=True)
-class DockWith:
+class DockWith(NamedTuple):
     peer: str
     own_port: int
     peer_port: int
     orientation_deg: int = 0
 
 
-@dataclass(frozen=True)
-class Undock:
+class Undock(NamedTuple):
     port: int
 
 
-@dataclass(frozen=True)
-class ActuateJoint:
+class ActuateJoint(NamedTuple):
     joint: Joint
     target_deg: float
 
 
-@dataclass(frozen=True)
-class SetSharing:
+class SetSharing(NamedTuple):
     on: bool
 
 
-@dataclass(frozen=True)
-class LiftChain:
+class LiftChain(NamedTuple):
     chain: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LowerChain:
+class LowerChain(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     payload: str
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(NamedTuple):
     ticks: int
 
 
@@ -132,21 +122,18 @@ def dispatch(spec: ModuleSpec, directive: Directive) -> Optional[str]:
 
 # -- sensor memory ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PortView:
+class PortView(NamedTuple):
     index: int
     state: str
     peer: Optional[str]
 
 
-@dataclass(frozen=True)
-class ReceivedMessage:
+class ReceivedMessage(NamedTuple):
     src: str
     payload: str
 
 
-@dataclass(frozen=True)
-class ModuleSnapshot:
+class ModuleSnapshot(NamedTuple):
     """What one module knows about itself and its surroundings."""
 
     module_id: str
@@ -228,8 +215,7 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     tick: int
     t: float
     event: str
@@ -270,8 +256,7 @@ class EventLog:
 
 # -- scenario scripts ---------------------------------------------------------
 
-@dataclass
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     tick: int
     module_id: str
     directive: Directive

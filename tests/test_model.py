@@ -1,18 +1,27 @@
-"""Platform table, organism graph, and compute totals."""
+"""Platform table, organism graph, compute totals, and record types."""
+import dataclasses
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import heterosim
+from heterosim.engine import _Actuate, _Approach, _Lift, _Lower, _Move, _Turn, _Wait
+from heterosim.mechanics import Joint, LiftAssessment
 from heterosim.model import (
     DockConnection,
     ModuleKind,
     Pose,
+    Posture,
     World,
     connected_components,
     passive_spec,
     spec_for,
     total_compute,
 )
+from heterosim.powerbus import BusSolution
+from heterosim.scenario import Event, LowerChain, ModuleSnapshot, Move, PortView
 
 
 class TestSpecTable:
@@ -288,3 +297,46 @@ class TestTotalCompute:
     def test_rejects_empty_organism(self):
         with pytest.raises(ValueError):
             total_compute(World(), ())
+
+
+class TestRecordTypes:
+    """Value records are NamedTuples and engine records slotted classes;
+    a dataclass is kept only where its API is used (``fields``,
+    ``replace`` or ``asdict``) or where converting would not shorten it."""
+
+    KEPT = {"BatteryModel", "DockConnection", "MetricsReport", "ModuleSpec",
+            "ModuleState", "Pose", "ScenarioScript", "SimConfig"}
+
+    def test_dataclasses_are_the_kept_set(self):
+        found = set()
+        for info in pkgutil.iter_modules(heterosim.__path__):
+            module = importlib.import_module(f"heterosim.{info.name}")
+            found |= {name for name, obj in vars(module).items()
+                      if isinstance(obj, type) and obj.__module__ == module.__name__
+                      and dataclasses.is_dataclass(obj)}
+        assert found == self.KEPT
+
+    def test_value_records_are_immutable(self):
+        port = PortView(0, "free", None)
+        snapshot = ModuleSnapshot("m", ModuleKind.SCOUT, 0.0, 0.0, 0, None, 1.0, True,
+                                  False, False, 0.0, 0.0, (port,), ())
+        for record, name in ((Move(0.5), "distance_m"), (port, "state"),
+                             (Event(0, 0.0, "Docked", ("a",), {}), "tick"),
+                             (snapshot, "soc")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_reprs_keep_the_dataclass_format(self):
+        assert repr(Move(0.5)) == "Move(distance_m=0.5)"
+        assert repr(LowerChain()) == "LowerChain()"
+        assert repr(PortView(1, "free", None)) == "PortView(index=1, state='free', peer=None)"
+        assert repr(Posture(fallen_port=3)) == "Posture(fallen_port=3)"
+        assert repr(LiftAssessment(True, 2.5)) == (
+            "LiftAssessment(feasible=True, required_torque_nm=2.5)")
+
+    def test_engine_records_have_no_dict(self):
+        records = (_Move(1.0), _Approach("b", 0, 1, 0, 0.5), _Turn(1.0, 90),
+                   _Actuate(1.0, Joint.BEND, 45.0), _Lift(1.0, ("b",), 90.0), _Lower(1.0),
+                   _Wait(1.0), BusSolution(("a",), 0.0, {}, [], 8.0, 2.0))
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
