@@ -91,12 +91,16 @@ class TestDispatch:
 
 class TestDirectiveCodec:
     def test_roundtrip_forms(self):
-        assert directive_from_dict({"type": "move", "distance": 0.5}) == Move(0.5)
-        assert directive_from_dict({"type": "turn", "angle": -90}) == Turn(-90)
-        assert directive_from_dict(
-            {"type": "dock_with", "peer": "b", "own_port": 0, "peer_port": 1}
-        ) == DockWith("b", 0, 1, 0)
-        assert directive_from_dict({"type": "wait", "ticks": 3}) == Wait(3)
+        # Directives compare as tuples, so Wait(3) == Undock(3): check the kind too.
+        for raw, expected in (
+            ({"type": "move", "distance": 0.5}, Move(0.5)),
+            ({"type": "turn", "angle": -90}, Turn(-90)),
+            ({"type": "dock_with", "peer": "b", "own_port": 0, "peer_port": 1},
+             DockWith("b", 0, 1, 0)),
+            ({"type": "wait", "ticks": 3}, Wait(3)),
+        ):
+            directive = directive_from_dict(raw)
+            assert (type(directive), directive) == (type(expected), expected)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
