@@ -270,8 +270,11 @@ def _prepare(path: str, overrides: dict
         bound = least * config.module_pitch
         if (value := script.params.get(key, bound)) < bound:
             raise ValidationError(f"'params': {key!r} must be >= {bound:g} m, got {value!r}")
-    return (script, builtin.start(config, script.params, script.max_ticks, script.shed_policy),
-            builtin.judge)
+    try:
+        engine = builtin.start(config, script.params, script.max_ticks, script.shed_policy)
+    except ValueError as exc:  # a param that puts a module out of range
+        raise ValidationError(f"'params': {exc}") from exc
+    return script, engine, builtin.judge
 
 
 def _gather_overrides(set_args: list[str]) -> dict:

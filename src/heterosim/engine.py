@@ -8,8 +8,8 @@ records the busy modules and this tick's inboxes for the next reads;
 (8) event emission. All contention is broken by ascending module id, so
 identical inputs always produce identical logs.
 
-A module runs at most one activity, a small slotted record per kind (an
-undock's is its ``Undock`` directive), and an organism at most one move or
+A module runs at most one activity, one slotted record of the directive
+under way and what is left of it, and an organism at most one move or
 approach, at its ground speed. An approach claims the initiator's port in
 ``world.claims`` (approaching -> aligned); the peer's port is only claimed
 at alignment, so two approaches to one port are settled there and the later
@@ -24,7 +24,7 @@ from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
 from .mechanics import Joint
-from .model import ModuleKind, UPRIGHT, World
+from .model import ModuleKind, ModuleSpec, UPRIGHT, World
 from .scenario import (
     ActuateJoint,
     Broadcast,
@@ -59,64 +59,21 @@ class Controller(Protocol):
                 issue, emit) -> None: ...
 
 
-class _Move:
-    __slots__ = ("remaining_m",)
+class _Activity:
+    """A directive under way and what is left of it: the metres of a ``Move``,
+    or the seconds of a ``DockWith`` handshake or of a timed directive (turn,
+    actuation, lift, lower, wait); an ``Undock`` leaves ``left`` unused."""
 
-    def __init__(self, remaining_m: float) -> None:
-        self.remaining_m = remaining_m
+    __slots__ = ("directive", "left")
 
-
-class _Approach:
-    __slots__ = ("peer", "own_port", "peer_port", "orientation_deg", "handshake_left_s")
-
-    def __init__(self, peer: str, own_port: int, peer_port: int,
-                 orientation_deg: int, handshake_left_s: float) -> None:
-        self.peer = peer
-        self.own_port = own_port
-        self.peer_port = peer_port
-        self.orientation_deg = orientation_deg
-        self.handshake_left_s = handshake_left_s
+    def __init__(self, directive: Directive, left: float = 0.0) -> None:
+        self.directive = directive
+        self.left = left
 
 
-class _Timed:
-    __slots__ = ("remaining_s",)
-
-    def __init__(self, remaining_s: float) -> None:
-        self.remaining_s = remaining_s
-
-
-class _Turn(_Timed):
-    __slots__ = ("target_deg",)
-
-    def __init__(self, remaining_s: float, target_deg: int) -> None:
-        self.remaining_s = remaining_s
-        self.target_deg = target_deg
-
-
-class _Actuate(_Timed):
-    __slots__ = ("joint", "target_deg")
-
-    def __init__(self, remaining_s: float, joint: Joint, target_deg: float) -> None:
-        self.remaining_s = remaining_s
-        self.joint = joint
-        self.target_deg = target_deg
-
-
-class _Lift(_Timed):
-    __slots__ = ("chain", "angle_deg")
-
-    def __init__(self, remaining_s: float, chain: tuple[str, ...], angle_deg: float) -> None:
-        self.remaining_s = remaining_s
-        self.chain = chain
-        self.angle_deg = angle_deg
-
-
-class _Lower(_Timed):
-    __slots__ = ()
-
-
-class _Wait(_Timed):
-    __slots__ = ()  # busy, but draws no drive power
+def _lift_angle(spec: ModuleSpec) -> float:
+    """The bend a lift ends at: 90 degrees, or the joint's limit if less."""
+    return min(90.0, spec.bend_limit_deg)
 
 
 class Engine:
@@ -139,7 +96,7 @@ class Engine:
         self.shed_policy = shed_policy
         self.log = EventLog()
         self.memory = SensorMemory()
-        self.activities: dict[str, _Move | Undock | _Approach | _Timed] = {}
+        self.activities: dict[str, _Activity] = {}
         self.halted = False
         self._timeline_pos = 0
         self._tick_events: list[Event] = []
@@ -213,7 +170,7 @@ class Engine:
 
         # Phase 4: docking transitions.
         for module_id in sorted([mid for mid, activity in self.activities.items()
-                                 if isinstance(activity, (Undock, _Approach))]):
+                                 if isinstance(activity.directive, (Undock, DockWith))]):
             self._dock_transition(module_id)
 
         # Phase 5: energy step.
@@ -266,7 +223,7 @@ class Engine:
                 self._reject(module_id, directive, "Busy")
                 return
             speed_cm = mechanics.organism_speed(world, members)
-            self.activities[module_id] = _Move(directive.distance_m)
+            self.activities[module_id] = _Activity(directive, directive.distance_m)
             self.emit("MoveStart", (module_id,), {
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
                 "implementation": implementation})
@@ -276,8 +233,7 @@ class Engine:
                 return
             duration = (0.0 if state.kind is ModuleKind.ACTIVE_WHEEL  # omni: one tick
                         else mechanics.joint_travel_s(state.spec, 0, directive.angle_deg))
-            self.activities[module_id] = _Turn(
-                duration, (state.pose.heading_deg + directive.angle_deg) % 360)
+            self.activities[module_id] = _Activity(directive, duration)
             self.emit("TurnStart", (module_id,), {
                 "angle_deg": directive.angle_deg, "implementation": implementation})
         elif isinstance(directive, DockWith):
@@ -287,7 +243,7 @@ class Engine:
                     or state.ports[directive.port] is None:
                 self._reject(module_id, directive, "BadTarget")
                 return
-            self.activities[module_id] = directive
+            self.activities[module_id] = _Activity(directive)
         elif isinstance(directive, ActuateJoint):
             self._dispatch_actuation(module_id, directive)
         elif isinstance(directive, SetSharing):
@@ -299,17 +255,18 @@ class Engine:
             if module_id not in world.lifted.values():
                 self._reject(module_id, directive, "BadTarget")
                 return
-            self.activities[module_id] = _Lower(
-                mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
+            self.activities[module_id] = _Activity(
+                directive, mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
             self.emit("LowerStart", (module_id,), {"chain": list(world.lifted_chain(module_id))})
         elif isinstance(directive, Broadcast):
             self._pending_broadcasts.append((module_id, directive.payload))
         elif isinstance(directive, Wait):
-            self.activities[module_id] = _Wait(directive.ticks * self.config.dt)
+            self.activities[module_id] = _Activity(directive, directive.ticks * self.config.dt)
 
     def _in_motion(self, members: tuple[str, ...]) -> bool:
         """Motion is the organism's: one member moves or approaches at a time."""
-        return any(isinstance(self.activities.get(mid), (_Move, _Approach))
+        activities = self.activities
+        return any(mid in activities and isinstance(activities[mid].directive, (Move, DockWith))
                    for mid in members)
 
     def _dispatch_dock(self, module_id: str, directive: DockWith,
@@ -348,9 +305,7 @@ class Engine:
         claimed_ports.add(own_key)
         claimed_ports.add(peer_key)
         world.claims[own_key] = ("approaching", directive.peer)
-        self.activities[module_id] = _Approach(
-            directive.peer, directive.own_port, directive.peer_port,
-            directive.orientation_deg, self.config.dock_handshake_s)
+        self.activities[module_id] = _Activity(directive, self.config.dock_handshake_s)
         self.emit("ApproachStart", (module_id, directive.peer), {
             "own_port": directive.own_port, "peer_port": directive.peer_port,
             "distance_m": distance})
@@ -366,7 +321,7 @@ class Engine:
             return
         start = (state.joint_bend_deg if directive.joint is Joint.BEND
                  else state.joint_rotation_deg)
-        self.activities[module_id] = _Actuate(duration, directive.joint, directive.target_deg)
+        self.activities[module_id] = _Activity(directive, duration)
         name = "RotateStart" if directive.joint is Joint.ROTATION else "BendStart"
         self.emit(name, (module_id,), {
             "from_deg": start, "to_deg": directive.target_deg,
@@ -386,13 +341,15 @@ class Engine:
         if not assessment.feasible:
             self._reject(module_id, directive, "TorqueExceeded")
             return
+        activities = self.activities
         if any(self._held_up(mid) or mid in world.lifted.values()
-               or isinstance(self.activities.get(mid), _Lift) for mid in directive.chain):
+               or mid in activities and isinstance(activities[mid].directive, LiftChain)
+               for mid in directive.chain):
             self._reject(module_id, directive, "BadTarget")
             return
-        lift_angle = min(90.0, state.spec.bend_limit_deg)
-        travel_s = mechanics.joint_travel_s(state.spec, state.joint_bend_deg, lift_angle)
-        self.activities[module_id] = _Lift(travel_s, tuple(directive.chain), lift_angle)
+        travel_s = mechanics.joint_travel_s(
+            state.spec, state.joint_bend_deg, _lift_angle(state.spec))
+        self.activities[module_id] = _Activity(LiftChain(tuple(directive.chain)), travel_s)
         self.emit("LiftStart", (module_id,), {
             "chain": list(directive.chain),
             "required_torque_nm": assessment.required_torque_nm})
@@ -401,47 +358,48 @@ class Engine:
 
     def _integrate(self, module_id: str) -> None:
         activity = self.activities[module_id]
+        directive = activity.directive
         world = self.world
         state = world.modules[module_id]
         dt = self.config.dt
-        if isinstance(activity, _Timed):
-            if not isinstance(activity, _Wait):
-                self._driving.add(module_id)
-            activity.remaining_s -= dt
-            if activity.remaining_s <= _EPS:
-                del self.activities[module_id]
-                self._finish(module_id, activity)
-        elif isinstance(activity, _Move):
+        if isinstance(directive, Move):
             members = world.organism_of(module_id)
             speed_cm, drivers = mechanics.ground_drive(world, members)
             if speed_cm <= 0:
                 del self.activities[module_id]
                 self.emit("MoveAborted", (module_id,), {"reason": "CannotMove"})
                 return
-            step = min(speed_cm / 100.0 * dt, activity.remaining_m)
+            step = min(speed_cm / 100.0 * dt, activity.left)
             heading = math.radians(state.pose.heading_deg)
             self._translate(members, drivers, step * math.cos(heading),
                             step * math.sin(heading))
-            activity.remaining_m -= step
-            if activity.remaining_m <= _EPS:
+            activity.left -= step
+            if activity.left <= _EPS:
                 del self.activities[module_id]
                 self.emit("MoveComplete", (module_id,), {})
-        elif isinstance(activity, _Approach):
-            distance = world.distance(module_id, activity.peer)
+        elif isinstance(directive, DockWith):
+            distance = world.distance(module_id, directive.peer)
             to_travel = distance - self.config.module_pitch
             if to_travel > _EPS \
-                    and world.claims[module_id, activity.own_port][0] != "aligned":
+                    and world.claims[module_id, directive.own_port][0] != "aligned":
                 members = world.organism_of(module_id)
                 speed_cm, drivers = mechanics.ground_drive(world, members)
                 if speed_cm <= 0:
-                    self._abort_approach(module_id, activity, "CannotMove")
+                    self._abort_approach(module_id, directive, "CannotMove")
                     return
                 step = min(speed_cm / 100.0 * dt, to_travel)
-                peer_pose = world.modules[activity.peer].pose
+                peer_pose = world.modules[directive.peer].pose
                 norm = max(distance, 1e-12)
                 self._translate(members, drivers,
                                 (peer_pose.x - state.pose.x) / norm * step,
                                 (peer_pose.y - state.pose.y) / norm * step)
+        elif not isinstance(directive, Undock):  # timed: turn, actuation, lift, lower, wait
+            if not isinstance(directive, Wait):  # a wait draws no drive power
+                self._driving.add(module_id)
+            activity.left -= dt
+            if activity.left <= _EPS:
+                del self.activities[module_id]
+                self._finish(module_id, directive)
 
     def _translate(self, members: tuple[str, ...], drivers: list[str],
                    dx: float, dy: float) -> None:
@@ -452,29 +410,30 @@ class Engine:
             pose.y += dy
         self._driving.update(drivers)
 
-    def _finish(self, module_id: str, activity: _Timed) -> None:
-        """Apply the effect of a timed activity whose time has run out."""
+    def _finish(self, module_id: str, directive: Directive) -> None:
+        """Apply the effect of a timed directive whose time has run out. Only
+        a turn changes a heading, so a turn's target is read here."""
         world = self.world
         state = world.modules[module_id]
-        if isinstance(activity, _Turn):
-            state.pose.heading_deg = activity.target_deg
+        if isinstance(directive, Turn):
+            state.pose.heading_deg = (state.pose.heading_deg + directive.angle_deg) % 360
             self.emit("TurnComplete", (module_id,), {
                 "heading_deg": state.pose.heading_deg})
-        elif isinstance(activity, _Actuate):
-            target = activity.target_deg
-            if activity.joint is Joint.BEND:
+        elif isinstance(directive, ActuateJoint):
+            target = directive.target_deg
+            if directive.joint is Joint.BEND:
                 state.joint_bend_deg = target
             else:
                 state.lift_turn_deg += target - state.joint_rotation_deg
                 state.joint_rotation_deg = target
-            name = "RotateComplete" if activity.joint is Joint.ROTATION else "BendComplete"
+            name = "RotateComplete" if directive.joint is Joint.ROTATION else "BendComplete"
             self.emit(name, (module_id,), {"angle_deg": target})
-        elif isinstance(activity, _Lift):
-            state.joint_bend_deg = activity.angle_deg
+        elif isinstance(directive, LiftChain):
+            state.joint_bend_deg = _lift_angle(state.spec)
             state.lift_turn_deg = 0.0
-            world.lifted.update(dict.fromkeys(activity.chain, module_id))
-            self.emit("LiftComplete", (module_id,), {"chain": list(activity.chain)})
-        elif isinstance(activity, _Lower):
+            world.lifted.update(dict.fromkeys(directive.chain, module_id))
+            self.emit("LiftComplete", (module_id,), {"chain": list(directive.chain)})
+        elif isinstance(directive, LowerChain):
             chain = world.lifted_chain(module_id)
             state.joint_bend_deg = 0.0
             half_turn = abs(abs(state.lift_turn_deg) % 360.0 - 180.0) < 1e-6
@@ -489,15 +448,16 @@ class Engine:
 
     def _dock_transition(self, module_id: str) -> None:
         activity = self.activities[module_id]
+        directive = activity.directive
         world = self.world
-        if isinstance(activity, Undock):
-            conn = world.connection_at(module_id, activity.port)
+        if isinstance(directive, Undock):
+            conn = world.connection_at(module_id, directive.port)
             del self.activities[module_id]
             if conn is None:
-                self._reject(module_id, activity, "BadTarget")
+                self._reject(module_id, directive, "BadTarget")
                 return
             if self._held_up(conn.module_a) or self._held_up(conn.module_b):
-                self._reject(module_id, activity, "Busy")
+                self._reject(module_id, directive, "Busy")
                 return
             docking.undock(world, conn)
             self.emit("Undocked", (conn.module_a, conn.module_b), {
@@ -509,29 +469,29 @@ class Engine:
                     member.pending_righting = False
                     self.emit("PostureUpright", (mid,), {})
             return
-        peer = activity.peer
+        peer = directive.peer
         distance = world.distance(module_id, peer)
         claims = world.claims
-        own_key, peer_key = (module_id, activity.own_port), (peer, activity.peer_port)
+        own_key, peer_key = (module_id, directive.own_port), (peer, directive.peer_port)
         if claims[own_key][0] != "aligned":
             if distance <= self.config.dock_reach_m + _EPS:
                 # The initiator's port is claimed by this very approach;
                 # drop the claim for the compatibility re-check.
                 del claims[own_key]
                 reason = docking.can_dock(
-                    world, module_id, activity.own_port,
-                    peer, activity.peer_port, activity.orientation_deg)
+                    world, module_id, directive.own_port,
+                    peer, directive.peer_port, directive.orientation_deg)
                 if reason is not None:
-                    self._abort_approach(module_id, activity, reason.value)
+                    self._abort_approach(module_id, directive, reason.value)
                     return
                 claims[own_key] = ("aligned", peer)
                 claims[peer_key] = ("aligned", module_id)
                 self.emit("Aligned", (module_id, peer), {
-                    "own_port": activity.own_port,
-                    "peer_port": activity.peer_port})
+                    "own_port": directive.own_port,
+                    "peer_port": directive.peer_port})
             return
-        activity.handshake_left_s -= self.config.dt
-        if activity.handshake_left_s > _EPS:
+        activity.left -= self.config.dt  # the handshake
+        if activity.left > _EPS:
             return
         del claims[own_key], claims[peer_key]
         del self.activities[module_id]
@@ -539,23 +499,24 @@ class Engine:
             self.emit("DockAborted", (module_id,), {"reason": "Busy"})
             return
         try:
-            docking.dock(world, module_id, activity.own_port, peer, activity.peer_port,
-                         activity.orientation_deg)
+            docking.dock(world, module_id, directive.own_port, peer, directive.peer_port,
+                         directive.orientation_deg)
         except docking.DockingError as exc:
             self.emit("DockAborted", (module_id,), {"reason": str(exc)})
             return
         self.emit("Docked", (module_id, peer), {
-            "own_port": activity.own_port, "peer_port": activity.peer_port,
-            "orientation_deg": activity.orientation_deg})
+            "own_port": directive.own_port, "peer_port": directive.peer_port,
+            "orientation_deg": directive.orientation_deg})
 
     def _held_up(self, module_id: str) -> bool:
         """Whether ``module_id`` hangs off the ground or in a lift under way."""
         return module_id in self.world.lifted or any(
-            isinstance(a, _Lift) and module_id in a.chain for a in self.activities.values())
+            isinstance(a.directive, LiftChain) and module_id in a.directive.chain
+            for a in self.activities.values())
 
-    def _abort_approach(self, module_id: str, activity: _Approach, reason: str) -> None:
+    def _abort_approach(self, module_id: str, directive: DockWith, reason: str) -> None:
         """End an approach before alignment and free the initiator's port."""
-        self.world.claims.pop((module_id, activity.own_port), None)
+        self.world.claims.pop((module_id, directive.own_port), None)
         del self.activities[module_id]
         self.emit("DockAborted", (module_id,), {"reason": reason})
 

@@ -183,6 +183,10 @@ def passive_spec(
 
 HEADINGS = (0, 90, 180, 270)
 
+#: The farthest a module may start from the origin along x or y: 1,000 km.
+#: Distances between modules stay finite; a float there resolves under 1 nm.
+MAX_COORD_M = 1e6
+
 
 @dataclass
 class Pose:
@@ -195,6 +199,8 @@ class Pose:
     def __post_init__(self) -> None:
         if self.heading_deg not in HEADINGS:
             raise ValueError(f"heading must be one of {HEADINGS}: {self.heading_deg}")
+        if not (abs(self.x) <= MAX_COORD_M and abs(self.y) <= MAX_COORD_M):
+            raise ValueError(f"|x| and |y| must be at most {MAX_COORD_M:g} m: {self.x}, {self.y}")
 
 
 class Posture(NamedTuple):

@@ -469,6 +469,15 @@ class TestRefusedKeysAndRanges:
             {"a": "s", "port_a": 0, "b": "zz", "port_b": 0}]}, "'zz'"),
         ({"modules": [SCOUT, {"id": "b", "kind": "backbone", "pos": [0.105, 0]}],
           "connections": [{"a": "s", "port_a": 9, "b": "b", "port_b": 0}]}, "port 9"),
+        ({"modules": [{"id": "a", "kind": "scout", "pos": [1e308, 0]},
+                      {"id": "b", "kind": "scout", "pos": [-1e308, 0]}],
+          "timeline": [{"tick": 0, "module": "a", "directive": {
+              "type": "dock_with", "peer": "b", "own_port": 0, "peer_port": 0}}]},
+         "modules[0]: |x| and |y|"),
+        ({"builtin": "rescue", "params": {"rescuer_distance_m": 1e308}}, "'params': |x|"),
+        ({"modules": [{**SCOUT, "soc": 1.5}]}, "soc"),
+        ({"modules": [{"id": "p", "kind": "passive", "passive": {"mass": -1}}]},
+         "modules[0]"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
             "int_past_digit_limit", "wheel_offset_negative",
@@ -477,7 +486,8 @@ class TestRefusedKeysAndRanges:
             "modules_empty", "modules_object", "module_string", "module_without_id",
             "pos_three_numbers", "passive_number", "timeline_tick_negative",
             "timeline_unknown_module", "dock_unknown_peer", "connection_unknown_module",
-            "connection_port_9"])
+            "connection_port_9", "pos_past_float_distance", "param_past_pos_bound",
+            "soc_above_one", "passive_mass_negative"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, payload, key, command):
         assert key in one_error_line(tmp_path, capsys, payload, command)

@@ -7,8 +7,9 @@ import random
 import pytest
 
 import heterosim
-from heterosim.engine import _Actuate, _Approach, _Lift, _Lower, _Move, _Turn, _Wait
-from heterosim.mechanics import Joint, LiftAssessment
+import heterosim.engine
+from heterosim.engine import _Activity
+from heterosim.mechanics import LiftAssessment
 from heterosim.model import (
     DockConnection,
     ModuleKind,
@@ -302,7 +303,8 @@ class TestTotalCompute:
 class TestRecordTypes:
     """Value records are NamedTuples and engine records slotted classes;
     a dataclass is kept only where its API is used (``fields``,
-    ``replace`` or ``asdict``) or where converting would not shorten it."""
+    ``replace`` or ``asdict``) or where converting would not shorten it.
+    Every activity is one ``_Activity``: its directive and what is left."""
 
     KEPT = {"BatteryModel", "DockConnection", "MetricsReport", "ModuleSpec",
             "ModuleState", "Pose", "ScenarioScript", "SimConfig"}
@@ -335,8 +337,12 @@ class TestRecordTypes:
             "LiftAssessment(feasible=True, required_torque_nm=2.5)")
 
     def test_engine_records_have_no_dict(self):
-        records = (_Move(1.0), _Approach("b", 0, 1, 0, 0.5), _Turn(1.0, 90),
-                   _Actuate(1.0, Joint.BEND, 45.0), _Lift(1.0, ("b",), 90.0), _Lower(1.0),
-                   _Wait(1.0), BusSolution(("a",), 0.0, {}, [], 8.0, 2.0))
+        records = (_Activity(Move(1.0), 1.0), BusSolution(("a",), 0.0, {}, [], 8.0, 2.0))
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_the_engine_defines_one_activity_record(self):
+        engine = heterosim.engine
+        classes = {name for name, obj in vars(engine).items()
+                   if isinstance(obj, type) and obj.__module__ == engine.__name__}
+        assert classes == {"Controller", "Engine", "_Activity"}

@@ -8,6 +8,7 @@ import pytest
 from heterosim import mechanics, powerbus, scenario
 from heterosim.config import SimConfig
 from heterosim.engine import Engine
+from heterosim.experiments import Choreography, _fallen_module, _rescuer, build_rescue_world
 from heterosim.mechanics import Joint, set_posture
 from heterosim.model import (
     DockConnection,
@@ -1108,3 +1109,40 @@ class TestEngineRejections:
         assert [(e.event, e.subjects, e.data) for e in events] == [
             ("MoveAborted", ("m",), {"reason": "CannotMove"})]
         assert "m" not in engine.activities
+
+
+class TestRescueFailureReasons:
+    """A rescue part that cannot go on logs ``RescueInfeasible`` with its
+    reason and ends done and failed. The engine is stepped until the part
+    ends, not run: the fallen module's part waits for ever once its
+    partner has failed."""
+
+    @staticmethod
+    def step_until_ended(engine: Engine, part: Choreography) -> list[tuple]:
+        while not part.done:
+            engine.step()
+        return [(e.tick, e.subjects, e.data) for e in engine.log.events_named("RescueInfeasible")]
+
+    def test_fallen_backbone_without_a_free_port(self):
+        world = World()
+        pitch = world.config.module_pitch
+        world.add_module("bb1", ModuleKind.BACKBONE, posture=Posture(fallen_port=3))
+        for port, pos in enumerate(((pitch, 0.0), (0.0, pitch), (-pitch, 0.0))):
+            world.add_module(f"s{port}", ModuleKind.SCOUT, pos=pos)
+            world.add_connection(DockConnection("bb1", port, f"s{port}", 0))
+        fallen = Choreography("bb1", _fallen_module)
+        engine = Engine(world, controllers=[fallen])
+        assert self.step_until_ended(engine, fallen) == [(0, ("bb1",), {"reason": "NoFreePort"})]
+        assert fallen.done and fallen.failed
+
+    def test_rescuer_whose_port_is_taken(self):
+        world = build_rescue_world(CFG)
+        aw1 = world.modules["aw1"].pose
+        world.add_module("blk", ModuleKind.PASSIVE, pos=(aw1.x + CFG.module_pitch, aw1.y))
+        world.add_connection(DockConnection("aw1", 0, "blk", 0))
+        fallen, rescuer = Choreography("bb1", _fallen_module), Choreography("aw1", _rescuer)
+        engine = Engine(world, controllers=[fallen, rescuer])
+        assert self.step_until_ended(engine, rescuer) == [(2, ("aw1",), {"reason": "DockFailed"})]
+        assert rescuer.done and rescuer.failed
+        assert [(e.tick, e.data) for e in engine.log.events_named("DirectiveRejected")] == [
+            (1, {"directive": "DockWith", "reason": "PortBusy"})]

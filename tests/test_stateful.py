@@ -14,7 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from heterosim.config import SimConfig
 from heterosim.docking import can_dock
-from heterosim.engine import Engine, _Approach, _Move
+from heterosim.engine import Engine
 from heterosim.mechanics import Joint
 from heterosim.model import (
     DockConnection,
@@ -130,8 +130,8 @@ def targeted(data, engine):
     other; a lifter lowers its chain."""
     world = engine.world
     links = sorted(world.connections)
-    peers = [activity.peer for _, activity in sorted(engine.activities.items())
-             if isinstance(activity, _Approach)]
+    peers = [activity.directive.peer for _, activity in sorted(engine.activities.items())
+             if isinstance(activity.directive, DockWith)]
     lifters = sorted(set(world.lifted.values()))
     kind = data.draw(st.sampled_from(("link", "link", "peer", "lower", "approach")))
     if kind == "link" and links:
@@ -191,7 +191,8 @@ class EngineMachine(RuleBasedStateMachine):
         assert sorted(members) == sorted(world.modules)
         for organism in components:
             moving = [mid for mid in organism
-                      if isinstance(engine.activities.get(mid), (_Move, _Approach))]
+                      if mid in engine.activities
+                      and isinstance(engine.activities[mid].directive, (Move, DockWith))]
             assert len(moving) <= 1, moving
         for mid, lifter in world.lifted.items():
             assert mid in world.organism_of(lifter)
@@ -209,14 +210,15 @@ class EngineMachine(RuleBasedStateMachine):
             locked[(conn.module_b, conn.port_b)] = conn.module_a
         claimed = {}
         for mid, activity in engine.activities.items():
-            if not isinstance(activity, _Approach):
+            approach = activity.directive
+            if not isinstance(approach, DockWith):
                 continue
-            view = memory.get(mid).ports[activity.own_port]
+            view = memory.get(mid).ports[approach.own_port]
             assert view.state in ("approaching", "aligned"), (mid, view)
-            assert view.peer == activity.peer
-            claimed[(mid, activity.own_port)] = (view.state, activity.peer)
+            assert view.peer == approach.peer
+            claimed[(mid, approach.own_port)] = (view.state, approach.peer)
             if view.state == "aligned":
-                claimed[(activity.peer, activity.peer_port)] = ("aligned", mid)
+                claimed[(approach.peer, approach.peer_port)] = ("aligned", mid)
         for mid, state in world.modules.items():
             for view in memory.get(mid).ports:
                 key = (mid, view.index)
