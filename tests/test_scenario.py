@@ -806,6 +806,19 @@ class TestEngineEnergyDigest:
             assert powerbus.solve_bus(world, world.organism_of("c00")).limiter_tripped["c00"]
         assert digest.hexdigest() == MIXED_ENGINE_DIGEST
 
+    def test_headings_and_an_approach_are_bit_identical(self):
+        digest = hashlib.sha256()
+        for engine in motion_engines():
+            world = engine.world
+            for _ in range(80):
+                engine.step()
+                line = repr(([(st.soc, st.pose, st.load_draw_w) for st in world.modules.values()],
+                             world.delivered_load_wh, world.resistive_loss_wh))
+                digest.update(line.encode() + b"\n")
+            assert not engine.halted
+        assert len(engine.activities) == 0 and engine.log.events_named("Docked")
+        assert digest.hexdigest() == MOTION_DIGEST
+
 
 #: sha256 of the same per-step record for the world below, stepped 60 times
 #: at each of dt 0.1 and 1.0, as computed before the energy and drive loops
@@ -843,6 +856,34 @@ def mixed_organisms_engine(dt: float) -> Engine:
     world.add_module("lone", ModuleKind.SCOUT, pos=(-1.0, -1.0), soc=0.5)
     return Engine(world, timeline=[TimelineEntry(0, "aaw1", Move(5.0)),
                                    TimelineEntry(1, "bbb2", Move(5.0))])
+
+
+#: sha256 of the same per-step record for each world below, stepped 80
+#: times. ENGINE_DIGEST's organisms all head 0 degrees and approach nothing;
+#: here an organism moves at each of 90, 180 and 270 degrees, and a Scout's
+#: approach drags its Backbone on a diagonal to a dock. The mover of each
+#: world starts at the origin, so a one-ulp change to either component of
+#: its first step shows in its pose.
+MOTION_DIGEST = "5b0dfba918030d2b015b346e60ff1cf49286f777b046b98002e2fa5d0d13d596"
+
+
+def motion_engines() -> list[Engine]:
+    rng = random.Random(30)
+    engines = []
+    for heading in (90, 180, 270):
+        world = World()
+        ids = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"),
+                          socs=tuple(rng.uniform(0.3, 1.0) for _ in range(4)))
+        for mid in ids:
+            world.modules[mid].pose.heading_deg = heading
+        engines.append(Engine(world, timeline=[TimelineEntry(0, "aw1", Move(5.0))]))
+    world = World()
+    world.add_module("s", ModuleKind.SCOUT, soc=rng.uniform(0.3, 1.0))
+    world.add_module("b", ModuleKind.BACKBONE, pos=(world.config.module_pitch, 0.0),
+                     soc=rng.uniform(0.3, 1.0))
+    world.add_module("t", ModuleKind.BACKBONE, pos=(-0.3, -0.25), soc=rng.uniform(0.3, 1.0))
+    world.add_connection(DockConnection("s", 1, "b", 3))
+    return engines + [Engine(world, timeline=[TimelineEntry(0, "s", DockWith("t", 3, 1))])]
 
 
 def wheel_holding_backbone() -> Engine:
