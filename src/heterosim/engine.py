@@ -24,7 +24,7 @@ from typing import Optional, Protocol
 
 from . import commnet, docking, mechanics, powerbus
 from .mechanics import Joint
-from .model import ModuleKind, ModuleSpec, UPRIGHT, World
+from .model import HEADINGS, ModuleKind, ModuleSpec, UPRIGHT, World
 from .scenario import (
     ActuateJoint,
     Broadcast,
@@ -47,6 +47,8 @@ from .scenario import (
 )
 
 _EPS = 1e-9
+#: Each heading's unit vector: the cosine and sine of its radians.
+_UNIT = {h: (math.cos(math.radians(h)), math.sin(math.radians(h))) for h in HEADINGS}
 
 
 class Controller(Protocol):
@@ -266,8 +268,10 @@ class Engine:
     def _in_motion(self, members: tuple[str, ...]) -> bool:
         """Motion is the organism's: one member moves or approaches at a time."""
         activities = self.activities
-        return any(mid in activities and isinstance(activities[mid].directive, (Move, DockWith))
-                   for mid in members)
+        for mid in members:
+            if mid in activities and isinstance(activities[mid].directive, (Move, DockWith)):
+                return True
+        return False
 
     def _dispatch_dock(self, module_id: str, directive: DockWith,
                        claimed_ports: set[tuple[str, int]]) -> None:
@@ -365,16 +369,17 @@ class Engine:
         if isinstance(directive, Move):
             members = world.organism_of(module_id)
             speed_cm, drivers = mechanics.ground_drive(world, members)
-            if speed_cm <= 0:
+            if speed_cm <= 0.0:
                 del self.activities[module_id]
                 self.emit("MoveAborted", (module_id,), {"reason": "CannotMove"})
                 return
-            step = min(speed_cm / 100.0 * dt, activity.left)
-            heading = math.radians(state.pose.heading_deg)
-            self._translate(members, drivers, step * math.cos(heading),
-                            step * math.sin(heading))
-            activity.left -= step
-            if activity.left <= _EPS:
+            step, left = speed_cm / 100.0 * dt, activity.left
+            if step > left:
+                step = left
+            ux, uy = _UNIT[state.pose.heading_deg]
+            self._translate(members, drivers, step * ux, step * uy)
+            activity.left = left = left - step
+            if left <= _EPS:
                 del self.activities[module_id]
                 self.emit("MoveComplete", (module_id,), {})
         elif isinstance(directive, DockWith):
@@ -384,7 +389,7 @@ class Engine:
                     and world.claims[module_id, directive.own_port][0] != "aligned":
                 members = world.organism_of(module_id)
                 speed_cm, drivers = mechanics.ground_drive(world, members)
-                if speed_cm <= 0:
+                if speed_cm <= 0.0:
                     self._abort_approach(module_id, directive, "CannotMove")
                     return
                 step = min(speed_cm / 100.0 * dt, to_travel)
@@ -404,8 +409,9 @@ class Engine:
     def _translate(self, members: tuple[str, ...], drivers: list[str],
                    dx: float, dy: float) -> None:
         """Carry the whole organism by (dx, dy); its drivers draw drive power."""
+        modules = self.world.modules
         for mid in members:
-            pose = self.world.modules[mid].pose
+            pose = modules[mid].pose
             pose.x += dx
             pose.y += dy
         self._driving.update(drivers)
@@ -527,7 +533,8 @@ class Engine:
         idle_w = self.config.idle_draw_w
         driving_w, driving = idle_w + self.config.drive_draw_w, self._driving
         for mid, state in world.modules.items():
-            alive = state.soc > 0.0 or state.spec.battery.energy_full_wh <= 0  # ModuleState.alive
+            # ModuleState.alive, written inline.
+            alive = state.soc > 0.0 or state.spec.battery.energy_full_wh <= 0.0
             state.load_draw_w = (driving_w if mid in driving else idle_w) if alive else 0.0
         shed: set[tuple[str, ...]] = set()  # shed once each; failing again halts
         while True:

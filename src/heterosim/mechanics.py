@@ -111,8 +111,8 @@ def ground_drive(world: World, organism: Iterable[str]) -> tuple[float, list[str
         st = modules[mid]
         speed = st.spec.locomotion_speed_cm_s
         # Posture.upright and ModuleState.alive, written inline.
-        if speed > 0 and st.posture.fallen_port is None and mid not in lifted \
-                and (st.soc > 0.0 or st.spec.battery.energy_full_wh <= 0):
+        if speed > 0.0 and st.posture.fallen_port is None and mid not in lifted \
+                and (st.soc > 0.0 or st.spec.battery.energy_full_wh <= 0.0):
             if not drivers or speed < pace:
                 pace = speed
             drivers.append(mid)

@@ -81,13 +81,11 @@ class ModuleSpec:
     can_actively_lock: bool
 
     def __post_init__(self) -> None:
-        numeric = (
-            self.locomotion_speed_cm_s, self.num_ports, self.bend_limit_deg,
-            self.rotation_limit_deg, self.max_torque_nm,
-            self.actuation_speed_deg_s, self.mass_kg, self.compute_mips,
-        )
-        if any(v < 0 for v in numeric):
-            raise ValueError("module spec fields must be non-negative")
+        for name in ("locomotion_speed_cm_s", "num_ports", "bend_limit_deg",
+                     "rotation_limit_deg", "max_torque_nm", "actuation_speed_deg_s",
+                     "mass_kg", "compute_mips"):
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"module spec field {name} must be non-negative, got {value}")
         if self.num_ports < 1:
             raise ValueError("a module has at least one docking port")
         if self.num_ports > MAX_PORTS:
@@ -427,13 +425,13 @@ class World:
     def _index(self) -> _Organisms:
         """The cached organisms and member map, rebuilt if a mutator ran."""
         if self._organisms is None:
-            adj = self.adjacency()
+            adj, modules = self.adjacency(), self.modules
             organism: dict[str, tuple[str, ...]] = {}
             components: list[tuple[str, ...]] = []
             v_full: dict[tuple[str, ...], float] = {}
             # Each walk starts at the smallest id not yet placed, which is
             # its organism's smallest member: the list comes out sorted.
-            for start in sorted(self.modules):
+            for start in sorted(modules):
                 if start in organism:
                     continue
                 group = {start}
@@ -448,7 +446,7 @@ class World:
                 for mid in members:
                     organism[mid] = members
                 components.append(members)
-                v_full[members] = max([self.modules[mid].spec.battery.v_full for mid in members])
+                v_full[members] = max([modules[mid].spec.battery.v_full for mid in members])
             self._organisms = (components, organism, v_full)
         return self._organisms
 

@@ -14,17 +14,19 @@ voltage range and takes the larger root of B*v**2 - A*v + P = 0 in the
 first segment that holds one.
 
 A solve is one pass over the members, which also collects the breakpoints,
-then that scan; it reads each pack's derived ``span`` and ``conductance``.
-It returns a :class:`BusSolution`, the operating point. :func:`step_energy`
-takes each organism's reserve and headroom from the largest ``v_full``,
-cached with the world's organisms, and applies each source's current where
-it reads the sources, as :meth:`BusSolution.flows` computes it; the
-per-member dicts of a solution are views of it, built when read. Each sum
-over the members (the loads, the balance at a voltage) is a ``math.fsum``,
-which rounds once; the scan's A and B and the energy ledger add with ``+=``
-in member order. Either way the floats are the same on every Python version
-(``sum()`` of floats rounds differently from 3.12 on), and digests in the
-tests pin them bit for bit.
+then that scan, ending in an ulp walk with the balance written inline; it
+reads each pack's derived ``span`` and ``conductance``. It returns a
+:class:`BusSolution`, the operating point. :func:`step_energy` applies the
+solution that each call of this module's global ``solve_bus`` returns, one
+per organism, with each organism's reserve and headroom from the largest
+``v_full``, cached with the world's organisms; it applies each source's
+current where it reads the sources, as :meth:`BusSolution.flows` computes
+it. The per-member dicts of a solution are views of it, built when read.
+Each sum over the members (the loads, the balance at a voltage) is a
+``math.fsum``, which rounds once; the scan's A and B and the energy ledger
+add with ``+=`` in member order. Either way the floats are the same on
+every Python version (``sum()`` of floats rounds differently from 3.12 on),
+and digests in the tests pin them bit for bit.
 """
 from __future__ import annotations
 
@@ -166,32 +168,38 @@ def solve_bus(
         st = modules[mid]
         battery = st.spec.battery
         full = battery.energy_full_wh
-        soc = st.soc
-        # A drained pack takes the module down; battery-less blocks stay on the bus.
         watts = st.load_draw_w
-        if watts > 0.0 and (full <= 0 or soc > 0.0):
-            loads[mid] = watts
-        if full <= 0:
+        # 0.0, not 0: a float against an int takes CPython's slower path.
+        if full <= 0.0:  # a battery-less block stays on the bus
+            if watts > 0.0:
+                loads[mid] = watts
             continue
+        soc = st.soc
+        if watts > 0.0 and soc > 0.0:  # a drained pack takes the module down
+            loads[mid] = watts
         stored = soc * full
         # Each source's v_oc is BatteryModel.voltage written inline, check included.
         if st.sharing_on:
-            if stored > 0 and stored >= min_supplier_stored_wh:
+            if stored > 0.0 and stored >= min_supplier_stored_wh:
                 if not 0.0 <= soc <= 1.0:
                     raise ValueError(f"soc out of range [0, 1]: {soc}")
                 v_oc, r = battery.v_empty + soc * battery.span, battery.internal_resistance
-                v_hi = v_oc if v_oc > v_hi else v_hi
-                v_lo = battery.v_empty if battery.v_empty < v_lo else v_lo
+                if v_oc > v_hi:
+                    v_hi = v_oc
+                if battery.v_empty < v_lo:
+                    v_lo = battery.v_empty
                 sources.append((st, v_oc, r, True))
                 suppliers.append((v_oc, r, v_oc / r, battery.conductance))
-                points += (v_oc, v_oc - limit * r)
+                points.append(v_oc)
+                points.append(v_oc - limit * r)
         elif recharge and stored <= full - charge_headroom_wh:
             if not 0.0 <= soc <= 1.0:
                 raise ValueError(f"soc out of range [0, 1]: {soc}")
             v_oc, r = battery.v_empty + soc * battery.span, battery.internal_resistance
             sources.append((st, v_oc, r, False))
             chargers.append((v_oc, r, v_oc / r, battery.conductance))
-            points += (v_oc, v_oc + cap * r)
+            points.append(v_oc)
+            points.append(v_oc + cap * r)
     total_load_w = math.fsum(loads.values())
 
     if not suppliers:
@@ -224,9 +232,10 @@ def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
     linear source, plus the limit of each limited supplier, minus the cap of
     each capped charger) and B (1/R of each linear source), and the segment's
     largest root is the larger root of B*v**2 - A*v + P = 0. Rounding can
-    put that root a few ulps above the true one, so it is stepped down one
-    ulp at a time until balance(v) >= 0: the returned voltage never leaves
-    demand short of supply as evaluated here.
+    put that root a few ulps above the true one, so a walk with the balance
+    written inline steps it down one ulp at a time until the balance is >= 0
+    (return v), or is not < 0 or v has reached ``lo`` (next segment): the
+    returned voltage never leaves demand short of supply as evaluated here.
 
     ``v_hi`` itself is never a root at the call in :func:`solve_bus`. It is
     the highest supplier voltage, so every supplier's current there is 0
@@ -234,14 +243,6 @@ def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
     only when P/v_hi is 0 and no charger sits below v_hi, and that case has
     already returned as open circuit.
     """
-    def balance(v: float) -> float:
-        net = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0 else x
-                         for v_oc, r, _, _ in suppliers]) - load_w / v
-        if chargers:
-            net -= math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0 else x
-                              for v_oc, r, _, _ in chargers])
-        return net
-
     # Scan from v_hi down to v_lo. The balance is negative at the top of
     # each segment reached, so a segment with B <= 0 (balance rising with v)
     # or without a real root inside it holds no root either.
@@ -274,12 +275,17 @@ def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
         v = (a + math.sqrt(disc)) / (2.0 * b)
         if not lo <= v <= hi:
             continue
-        residual = balance(v)
-        while residual < 0.0 and v > lo:
+        while True:  # the balance at v, then one ulp down, until it holds
+            residual = math.fsum([limit if (x := (v_oc - v) / r) > limit else 0.0 if x < 0.0
+                                  else x for v_oc, r, _, _ in suppliers]) - load_w / v
+            if chargers:
+                residual -= math.fsum([cap if (x := (v - v_oc) / r) > cap else 0.0 if x < 0.0
+                                       else x for v_oc, r, _, _ in chargers])
+            if residual >= 0.0:
+                return v
+            if not (residual < 0.0 and v > lo):
+                break
             v = math.nextafter(v, lo)
-            residual = balance(v)
-        if residual >= 0.0:
-            return v
     return None
 
 

@@ -477,7 +477,7 @@ class TestRefusedKeysAndRanges:
         ({"builtin": "rescue", "params": {"rescuer_distance_m": 1e308}}, "'params': |x|"),
         ({"modules": [{**SCOUT, "soc": 1.5}]}, "soc"),
         ({"modules": [{"id": "p", "kind": "passive", "passive": {"mass": -1}}]},
-         "modules[0]"),
+         "mass_kg"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
             "int_past_digit_limit", "wheel_offset_negative",

@@ -7,7 +7,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from heterosim import powerbus
 from heterosim.config import SimConfig
+from heterosim.engine import Engine
 from heterosim.model import (
     STANDARD_BATTERY,
     BatteryModel,
@@ -19,6 +21,7 @@ from heterosim.model import (
     spec_for,
 )
 from heterosim.powerbus import (
+    BusSolution,
     InsufficientSupply,
     NoSupplier,
     PowerBusError,
@@ -495,6 +498,49 @@ class TestStepEnergy:
         with pytest.raises(ValueError, match="finite"):
             step_energy(world, dt)
         assert world.modules["m0"].soc == 1.0
+
+
+class TestSolveBusSeam:
+    """``step_energy`` solves each organism once through the module global
+    ``powerbus.solve_bus`` and applies the solution that call returns. The
+    benchmark's limiter-trip and charging-member counters wrap that global."""
+
+    def test_one_call_per_organism_and_its_solution_applied(self, monkeypatch):
+        world = chain_organism([{"soc": 0.9}, {"soc": 0.3, "sharing": False}])
+        world.add_module("a", ModuleKind.SCOUT, pos=(2.0, 0.0), soc=0.6)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(2.105, 0.0), soc=0.8)
+        world.add_connection(DockConnection("a", 1, "b", 3, 0))
+        world.add_module("lone", ModuleKind.SCOUT, pos=(-2.0, 0.0), soc=0.5)
+        original, returned = powerbus.solve_bus, []
+
+        def counted(*args, **kwargs):
+            # 10 mV below the operating point: only the solution returned
+            # here can give the floats checked below.
+            s = original(*args, **kwargs)
+            returned.append(BusSolution(s.organism, s.bus_voltage - 0.01, s.loads, s.sources,
+                                        s.limit, s.cap))
+            return returned[-1]
+
+        monkeypatch.setattr(powerbus, "solve_bus", counted)
+        engine = Engine(world)
+        hours = world.config.dt / 3600.0
+        for _ in range(5):
+            returned.clear()
+            expected = {mid: st.soc for mid, st in world.modules.items()}
+            delivered = world.delivered_load_wh
+            engine.step()
+            assert [s.organism for s in returned] == [("a", "b"), ("lone",), ("m0", "m1")]
+            for solution in returned:
+                v = solution.bus_voltage
+                for st, v_oc, _, amps in solution.flows():
+                    full = st.spec.battery.energy_full_wh
+                    soc = (expected[st.module_id] * full - v_oc * amps * hours) / full
+                    expected[st.module_id] = min(1.0, max(0.0, soc))
+                for watts in solution.loads.values():
+                    delivered += watts / v * v * hours
+            assert {mid: st.soc for mid, st in world.modules.items()} == expected
+            assert world.delivered_load_wh == delivered
+        assert world.modules["m1"].soc > 0.3  # the charger took current in
 
 
 class TestReserveAndHeadroom:
