@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .config import ConfigError, SimConfig
 from .docking import can_dock
-from .engine import Engine
+from .engine import SHED_POLICIES, Engine
 from .experiments import BUILTINS, MetricsReport, judge
 from .model import UPRIGHT, DockConnection, ModuleKind, Posture, World, passive_spec
 from .scenario import (
@@ -99,7 +99,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     if script.max_ticks <= 0:
         raise ValidationError("'max_ticks' must be > 0")
     script.shed_policy = raw.get("shed_policy", "halt")
-    if script.shed_policy not in ("halt", "shed"):
+    if script.shed_policy not in SHED_POLICIES:
         raise ValidationError("'shed_policy' must be 'halt' or 'shed'")
 
     if script.builtin is not None:
@@ -258,7 +258,7 @@ def _prepare(path: str, overrides: dict
              ) -> tuple[ScenarioScript, Engine, Callable[[Engine], tuple[MetricsReport, bool]]]:
     """The checked script at ``path``, its engine, not yet run, and its judge:
     the one path of ``validate`` and ``run``. The config takes the scenario's
-    ``dt``, then ``overrides``. A builtin param's least value is in pitches."""
+    ``dt``, then ``overrides``."""
     script = load_scenario(path)
     config = SimConfig().with_overrides({} if script.dt is None else {"dt": script.dt})
     config = config.with_overrides(overrides)
@@ -266,13 +266,9 @@ def _prepare(path: str, overrides: dict
         return script, Engine(build_world_from_script(script, config), timeline=script.timeline,
                               max_ticks=script.max_ticks, shed_policy=script.shed_policy), judge
     builtin = BUILTINS[script.builtin]
-    for key, least in builtin.params.items():
-        bound = least * config.module_pitch
-        if (value := script.params.get(key, bound)) < bound:
-            raise ValidationError(f"'params': {key!r} must be >= {bound:g} m, got {value!r}")
     try:
         engine = builtin.start(config, script.params, script.max_ticks, script.shed_policy)
-    except ValueError as exc:  # a param that puts a module out of range
+    except ValueError as exc:  # a param below its least value or out of range
         raise ValidationError(f"'params': {exc}") from exc
     return script, engine, builtin.judge
 

@@ -90,9 +90,7 @@ class SimConfig:
 
 def _coerce(value: object, ftype: str | type) -> object:
     name = ftype if isinstance(ftype, str) else ftype.__name__
-    if name == "bool":
-        if isinstance(value, bool):
-            return value
+    if name == "bool":  # a JSON true or false reads as "True" or "False"
         text = str(value).strip().lower()
         if text in ("1", "true", "yes", "on"):
             return True
@@ -101,9 +99,7 @@ def _coerce(value: object, ftype: str | type) -> object:
         raise ValueError(f"not a boolean: {value!r}")
     if name == "int":
         return int(str(value))
-    if name == "float":
-        return float(str(value))
-    return value
+    return float(str(value))
 
 
 DEFAULT_CONFIG = SimConfig()

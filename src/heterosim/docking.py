@@ -110,7 +110,6 @@ def dock(
     conn = DockConnection(a, port_a, b, port_b, orientation_deg)
     world.add_connection(conn)
     _debit_lock_energy(world, a, b)
-    world.check_port_exclusivity()
     return world
 
 
@@ -134,7 +133,6 @@ def undock(world: World, connection: DockConnection | tuple[str, int, str, int])
     if key not in world.connections:
         raise NoSuchConnection(f"no locked connection {key}")
     world.remove_connection(key)
-    world.check_port_exclusivity()
     return world
 
 

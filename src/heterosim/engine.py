@@ -47,6 +47,7 @@ from .scenario import (
 )
 
 _EPS = 1e-9
+SHED_POLICIES = ("halt", "shed")  # a failed bus solve ends the run, or sheds loads once
 #: Each heading's unit vector: the cosine and sine of its radians.
 _UNIT = {h: (math.cos(math.radians(h)), math.sin(math.radians(h))) for h in HEADINGS}
 
@@ -95,6 +96,8 @@ class Engine:
         self.controllers = controllers or []
         self.timeline = sorted(timeline or [], key=lambda e: (e.tick, e.module_id))
         self.max_ticks = max_ticks
+        if shed_policy not in SHED_POLICIES:
+            raise ValueError(f"shed_policy must be 'halt' or 'shed', got {shed_policy!r}")
         self.shed_policy = shed_policy
         self.log = EventLog()
         self.memory = SensorMemory()
@@ -162,9 +165,11 @@ class Engine:
         if extra_directives:
             pending.extend(extra_directives)
         pending.sort(key=lambda item: item[0])
+        idle = [module_id for module_id, _ in pending if module_id not in self.activities]
         claimed_ports: set[tuple[str, int]] = set()
         for module_id, directive in pending:
             self._dispatch_one(module_id, directive, claimed_ports)
+        started = [module_id for module_id in idle if module_id in self.activities]
 
         # Phase 3: motion and actuation integration.
         for module_id in sorted(self.activities):
@@ -182,8 +187,8 @@ class Engine:
         self._inboxes = {}
         self._deliver_messages()
 
-        # Phase 7: record busy modules and inboxes for next tick's reads.
-        self.memory.refresh(world, set(self.activities), self._inboxes)
+        # Phase 7: busy modules, all started this tick included, and inboxes for next tick.
+        self.memory.refresh(world, set(self.activities).union(started), self._inboxes)
 
         # Phase 8: event emission.
         for event in self._tick_events:

@@ -282,7 +282,11 @@ class Builtin(NamedTuple):
 
     def start(self, config: SimConfig, params: Optional[dict], max_ticks: int,
               shed_policy: str = "halt") -> Engine:
-        """The experiment's engine, not yet run."""
+        """The experiment's engine, not yet run; ``ValueError`` for a param out of range."""
+        for key, least in self.params.items():
+            bound = least * config.module_pitch
+            if float(value := (params or {}).get(key, bound)) < bound:
+                raise ValueError(f"{key!r} must be >= {bound:g} m, got {value!r}")
         return Engine(self.build_world(config, params), controllers=self.parts(),
                       max_ticks=max_ticks, shed_policy=shed_policy)
 

@@ -458,7 +458,8 @@ class World:
         return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
     def check_port_exclusivity(self) -> None:
-        """Assert no port carries two connections; cheap post-mutation guard."""
+        """Raise ``AssertionError`` if a port carries two connections (only a
+        direct write to ``connections`` can: ``add_connection`` refuses it)."""
         seen: set[tuple[str, int]] = set()
         for conn in self.connections.values():
             for endpoint in conn.endpoints():

@@ -166,7 +166,8 @@ class SensorMemory:
     which the caller does not change afterwards; ``get`` builds a snapshot
     from them. Controllers read first in a tick, so the world they see is
     the one the previous tick left, plus any change made from outside
-    between two ``step`` calls.
+    between two ``step`` calls. A module is busy while it has an activity
+    and on the tick after one started, even one that ended in that tick.
     """
 
     def get(self, module_id: str) -> ModuleSnapshot:
@@ -210,8 +211,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, ModuleKind):
-        return value.value
     return value
 
 

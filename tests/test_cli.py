@@ -247,6 +247,12 @@ class TestRunCommand:
                      "--report", str(tmp_path / "r.json"),
                      "--set", "recharge_enabled=off"]) == 0
 
+    @pytest.mark.parametrize("text, value", [("on", True), ("off", False)])
+    def test_boolean_override_from_text(self, text, value):
+        # "on" reaches config._coerce's ``return True``.
+        config = SimConfig(recharge_enabled=not value).with_overrides({"recharge_enabled": text})
+        assert config.recharge_enabled is value
+
     def test_verbose_prints_every_event(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.json", {"builtin": "assembly"})
         out = tmp_path / "e.jsonl"
@@ -441,6 +447,11 @@ class TestRefusedKeysAndRanges:
             "directive": {"type": "wait", "ticks": -1}}]}, "'ticks'"),
         ({"modules": [SCOUT], "timeline": [TICK0 | {
             "directive": {"type": "wait", "ticks": 10**400}}]}, "'ticks'"),
+        # json_number's OverflowError branch: an integer past the float range.
+        ({"builtin": "assembly", "dt": 10**400}, "'dt' must be finite"),
+        # directive_from_dict's refusal of a directive without a type.
+        ({"modules": [SCOUT], "timeline": [TICK0 | {"directive": {"ticks": 1}}]},
+         "needs a 'type'"),
         ('{"builtin": "rescue", "max_ticks": 1' + "0" * 5000 + "}", "digits"),
         ({"builtin": "assembly", "params": {"wheel_offset_m": -1}}, "'wheel_offset_m'"),
         ({"builtin": "rescue", "params": {"rescuer_distance_m": 0}},
@@ -480,6 +491,7 @@ class TestRefusedKeysAndRanges:
          "mass_kg"),
     ], ids=["param_typo", "param_of_other_builtin", "param_on_custom",
             "unknown_top_level_key", "wait_negative", "wait_past_float",
+            "dt_past_float", "directive_without_type",
             "int_past_digit_limit", "wheel_offset_negative",
             "rescuer_inside_the_pitch", "dt_past_bound", "scenario_list",
             "params_list", "max_ticks_zero", "shed_policy_unknown", "builtin_with_modules",
@@ -582,3 +594,73 @@ class TestOneEnginePerRun:
         assert log.to_jsonl() == events.read_text()
         assert report.to_json() == report_path.read_text()
         assert (code, success) == (0, True)
+
+    @pytest.mark.parametrize("runner, params, message", [
+        (run_assembly_experiment, {"wheel_offset_m": -0.16},
+         "'wheel_offset_m' must be >= 0 m, got -0.16"),
+        (run_rescue_experiment, {"rescuer_distance_m": 0.0},
+         "'rescuer_distance_m' must be >= 0.105 m, got 0.0"),
+    ], ids=["assembly", "rescue"])
+    def test_library_runner_refuses_a_param_below_its_least(self, runner, params, message):
+        with pytest.raises(ValueError) as exc:
+            runner(params=params)
+        assert str(exc.value) == message
+
+
+class TestRunOutcomes:
+    """Runs whose outcome hangs on one path through the engine."""
+
+    @pytest.mark.parametrize("dt", ["0.9", "2"])
+    def test_rescue_with_one_tick_steps(self, tmp_path, monkeypatch, dt):
+        # At these ticks the fallen Backbone's move, or the wheel's lift,
+        # starts and ends in one tick; each still reads busy a tick later.
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        code, events, _ = run_builtin(tmp_path, {"builtin": "rescue"}, f"dt={dt}")
+        names = [json.loads(line)["event"] for line in events.read_text().splitlines()]
+        assert "RescueInfeasible" not in names and names[-1] == "ResumedOperation"
+        assert code == 0
+
+    def test_broadcast_from_a_sender_drained_by_its_lock(self, tmp_path, monkeypatch):
+        # Reaches the engine's BroadcastFailed. Backbone "a" is nearly empty
+        # and shares the bus of the full "c". "z" docks onto "a" at tick 20,
+        # and "a", the lower id, pays the lock energy in the energy step, so
+        # it is dead when its broadcast of that tick goes out.
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        payload = {
+            "modules": [{"id": "a", "kind": "backbone", "pos": [0, 0], "soc": 1e-6},
+                        {"id": "c", "kind": "backbone", "pos": [-0.105, 0]},
+                        {"id": "z", "kind": "scout", "pos": [0.105, 0]}],
+            "connections": [{"a": "a", "port_a": 3, "b": "c", "port_b": 1}],
+            "timeline": [
+                {"tick": 0, "module": "z", "directive": {
+                    "type": "dock_with", "peer": "a", "own_port": 0, "peer_port": 1}},
+                {"tick": 20, "module": "a", "directive": {"type": "broadcast"}}],
+        }
+        code, events, _ = run_builtin(tmp_path, payload)
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        assert [(r["tick"], r["event"], r["data"]) for r in records[-2:]] == [
+            (20, "Docked", {"own_port": 0, "peer_port": 1, "orientation_deg": 0}),
+            (20, "BroadcastFailed", {"reason": "DeadBattery"})]
+        assert code == 0
+
+    @pytest.mark.parametrize("torque, outcome", [
+        ("4", ("DirectiveRejected", "TorqueExceeded")), ("6.5", ("LiftStart", None))],
+        ids=["default", "raised"])
+    def test_scout_torque_override(self, tmp_path, monkeypatch, torque, outcome):
+        # "6.5" reaches World.add_module's replacement of the Scout's
+        # rating: a chain of three Backbones needs 6.18 N m.
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        chain = [{"id": f"b{i}", "kind": "backbone", "pos": [0.105 * (i + 1), 0]}
+                 for i in range(3)]
+        payload = {
+            "modules": [SCOUT] + chain,
+            "connections": [{"a": "s", "port_a": 1, "b": "b0", "port_b": 3},
+                            {"a": "b0", "port_a": 1, "b": "b1", "port_b": 3},
+                            {"a": "b1", "port_a": 1, "b": "b2", "port_b": 3}],
+            "timeline": [TICK0 | {"directive": {"type": "lift_chain",
+                                                "chain": ["b0", "b1", "b2"]}}],
+        }
+        code, events, _ = run_builtin(tmp_path, payload, f"scout_max_torque_nm={torque}")
+        first = json.loads(events.read_text().splitlines()[0])
+        assert (first["event"], first["data"].get("reason")) == outcome
+        assert code == 0

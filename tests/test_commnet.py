@@ -26,6 +26,12 @@ class TestWiredDelivery:
         world = build_chain(1)
         assert wired_hops(world, "m0", "m0") == 0
 
+    @pytest.mark.parametrize("src, dst", [("zz", "yy"), ("m0", "zz")])
+    def test_unknown_module_raises(self, src, dst):
+        # Reaches wired_hops' checks of src, then of dst.
+        with pytest.raises(KeyError, match="zz"):
+            wired_hops(build_chain(2), src, dst)
+
     def test_chain_hop_count(self):
         world = build_chain(3)
         assert wired_hops(world, "m0", "m2") == 2

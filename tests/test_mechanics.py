@@ -144,6 +144,13 @@ class TestActuationDuration:
         with pytest.raises(JointLimitExceeded):
             actuation_duration(world, "p", Joint.BEND, 10.0)
 
+    def test_joint_without_a_rate_cannot_actuate(self, world):
+        # Reaches actuation_duration's check of the actuation rate.
+        spec = replace(spec_for(ModuleKind.BACKBONE), actuation_speed_deg_s=0.0)
+        world.add_module("stiff", ModuleKind.BACKBONE, pos=(3.0, 0.0), spec=spec)
+        with pytest.raises(JointLimitExceeded, match="stiff cannot actuate"):
+            actuation_duration(world, "stiff", Joint.BEND, 10.0)
+
 
 def carrying_world():
     world = World()
@@ -211,6 +218,11 @@ class TestOrganismSpeed:
         world.add_module("bb", ModuleKind.BACKBONE, posture=Posture(fallen_port=3))
         assert organism_speed(world, ("bb",)) == 0.0
 
+    def test_rejects_empty_organism(self):
+        # Reaches organism_speed's check for an empty organism.
+        with pytest.raises(ValueError, match="nonempty"):
+            organism_speed(World(), ())
+
 
 class TestSetPosture:
     def test_fall_disables_port_and_drive(self):
@@ -244,6 +256,13 @@ class TestSetPosture:
         world.add_connection(DockConnection("a", 1, "b", 3, 0))
         with pytest.raises(ValueError):
             set_posture(world, "a", Posture(fallen_port=1))
+
+    def test_cannot_fall_onto_a_port_it_lacks(self):
+        # Reaches set_posture's port range check.
+        world = World()
+        world.add_module("aw", ModuleKind.ACTIVE_WHEEL)
+        with pytest.raises(ValueError, match="port 2 invalid for aw"):
+            set_posture(world, "aw", Posture(fallen_port=2))
 
 
 class TestRequiredTorqueHelper:

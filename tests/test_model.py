@@ -13,6 +13,7 @@ from heterosim.mechanics import LiftAssessment
 from heterosim.model import (
     DockConnection,
     ModuleKind,
+    ModuleState,
     Pose,
     Posture,
     World,
@@ -112,6 +113,16 @@ class TestConnectionCanonicalization:
         assert conn.module_a == "a"
         assert conn.orientation_deg == 270
 
+    def test_orientation_must_be_a_quarter_turn(self):
+        # Reaches DockConnection.__post_init__'s orientation check.
+        with pytest.raises(ValueError, match="orientation"):
+            DockConnection("a", 0, "b", 0, 45)
+
+    def test_other_end_seen_from_a_stranger_raises(self):
+        # Reaches DockConnection.other's raise for a module it does not join.
+        with pytest.raises(KeyError, match="c is not an endpoint"):
+            DockConnection("a", 0, "b", 0).other("c")
+
 
 class TestAddConnection:
     @pytest.mark.parametrize("named_from", ["a", "b"])
@@ -125,6 +136,36 @@ class TestAddConnection:
         with pytest.raises(ValueError, match="already carries a connection"):
             world.add_connection(again)
         assert list(world.connections) == [("a", 1, "b", 3)]
+
+    def test_two_connections_on_one_port_are_caught(self):
+        # Reaches check_port_exclusivity's raise. add_connection refuses a
+        # port that carries a link, so only a write straight into
+        # ``connections`` gets a second link onto one.
+        world = chain_world(3)
+        second = DockConnection("m0", 1, "m2", 3, 0)
+        world.connections[second.key] = second
+        with pytest.raises(AssertionError, match=r"port \('m0', 1\) carries two"):
+            world.check_port_exclusivity()
+
+
+class TestModuleGuards:
+    def test_spec_of_another_kind_is_refused(self):
+        # Reaches World.add_module's check that the spec is of the module's kind.
+        with pytest.raises(ValueError, match="spec kind"):
+            World().add_module("s", ModuleKind.SCOUT, spec=spec_for(ModuleKind.BACKBONE))
+
+    @pytest.mark.parametrize("joint", ["joint_bend_deg", "joint_rotation_deg"])
+    def test_joint_past_its_limit_is_refused(self, joint):
+        # Reaches the two joint-limit checks of ModuleState.__post_init__.
+        spec = spec_for(ModuleKind.BACKBONE)
+        with pytest.raises(ValueError, match="outside spec limit"):
+            ModuleState("b", ModuleKind.BACKBONE, spec, Pose(), **{joint: 120.0})
+
+    def test_a_block_without_a_pack_stores_nothing(self):
+        # Reaches ModuleState.set_stored_wh's return for a module with no pack.
+        block = World().add_module("p", ModuleKind.PASSIVE)
+        block.set_stored_wh(5.0)
+        assert (block.soc, block.stored_wh) == (1.0, 0.0)
 
 
 def chain_world(n, kind=ModuleKind.BACKBONE):

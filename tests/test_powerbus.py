@@ -408,6 +408,26 @@ class TestClosedFormRoot:
             assert supply >= demand
             assert abs(supply - demand) < 1e-9
 
+    def test_walk_stops_at_the_floor_of_its_segment(self):
+        # Reaches the walk's exit to the next segment. One linear supplier:
+        # its quadratic's root lands above the true one, with demand short.
+        # With the search floor v_lo put at that rounded root, the walk may
+        # not step below it, so there is no root in [v_lo, v_hi]; with the
+        # floor lower, the walk steps down into balance.
+        source, load_w = (25.0, R_INT, 25.0 / R_INT, 1.0 / R_INT), 2.11
+        a, b = source[2], source[3]
+        rounded = (a + math.sqrt(a * a - 4.0 * b * load_w)) / (2.0 * b)
+        supply, demand = source_balance([25.0], [], load_w, rounded)
+        assert supply < demand
+        points = [25.0, 25.0 - LIMIT * R_INT]
+        assert _largest_root([source], [], points + [rounded], rounded, 25.0,
+                             LIMIT, CHARGE_CAP, load_w) is None
+        v = _largest_root([source], [], points + [V_EMPTY], V_EMPTY, 25.0,
+                          LIMIT, CHARGE_CAP, load_w)
+        assert v < rounded
+        supply, demand = source_balance([25.0], [], load_w, v)
+        assert supply >= demand
+
 
 class TestStepEnergy:
     def test_supplier_drain_matches_independent_integration(self):

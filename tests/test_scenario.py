@@ -22,6 +22,8 @@ from heterosim.scenario import (
     ActuateJoint,
     Broadcast,
     DockWith,
+    Event,
+    EventLog,
     LiftChain,
     LowerChain,
     Move,
@@ -88,6 +90,11 @@ class TestDispatch:
         for directive in (ActuateJoint(Joint.BEND, 10.0), LiftChain(("x",)), Wait(1),
                           DockWith("x", 0, 0), Undock(0), SetSharing(True), Broadcast("")):
             assert dispatch(spec, directive) is None
+
+    def test_unknown_directive(self):
+        # Reaches dispatch's refusal of a value that is no directive.
+        with pytest.raises(UnsupportedDirective, match="unknown directive 'jump'"):
+            dispatch(spec_for(ModuleKind.SCOUT), "jump")
 
 
 class TestDirectiveCodec:
@@ -399,6 +406,14 @@ class TestTimelineAndDeterminism:
         assert engine.world.tick == 10
         assert not log.events_named("MoveStart")
 
+    def test_event_log_refuses_an_earlier_tick(self):
+        # Reaches EventLog.append's check that ticks never go back.
+        log = EventLog()
+        log.append(Event(2, 0.2, "Later", (), {}))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            log.append(Event(1, 0.1, "Earlier", (), {}))
+        assert log.names() == ["Later"]
+
 
 class TestSensorDelay:
     def test_mutation_visible_one_tick_later(self):
@@ -456,14 +471,17 @@ class TestSensorDelay:
         return Probe()
 
     def test_busy_visible_one_tick_later(self):
-        world = World()
-        world.add_module("m", ModuleKind.SCOUT)
-        probe = self._probe("m")
-        engine = Engine(world, controllers=[probe],
-                        timeline=[TimelineEntry(0, "m", Wait(2))])
-        for _ in range(3):
-            engine.step()
-        assert [probe.seen[t].busy for t in range(3)] == [False, True, False]
+        # A Scout's two-tick wait, and a wheel's turn, which starts and ends
+        # in tick 0: each reads busy at tick 1 only.
+        for kind, directive in ((ModuleKind.SCOUT, Wait(2)), (ModuleKind.ACTIVE_WHEEL, Turn(90))):
+            world = World()
+            world.add_module("m", kind)
+            probe = self._probe("m")
+            engine = Engine(world, controllers=[probe],
+                            timeline=[TimelineEntry(0, "m", directive)])
+            for _ in range(3):
+                engine.step()
+            assert [probe.seen[t].busy for t in range(3)] == [False, True, False]
 
     def test_broadcast_visible_one_tick_later(self):
         world = World()
@@ -636,6 +654,9 @@ class TestPowerFailurePolicies:
         assert events[1].data["detail"] == "load shedding failed"
         assert engine.halted
 
+    def test_unknown_policy_is_refused(self):
+        with pytest.raises(ValueError, match="shed_policy must be 'halt' or 'shed', got 'Shed'"):
+            Engine(World(), shed_policy="Shed")
 
     def test_step_on_a_halted_engine_does_nothing(self):
         # The benchmark keeps stepping a halted engine, so this must not raise.
@@ -1092,6 +1113,14 @@ def lifting_wheel() -> World:
     return engine.world
 
 
+def scout_holding_two() -> World:
+    """A Scout "s" docked to Backbone "b", docked in turn to Backbone "c"."""
+    world = scout_docked_to("b", ModuleKind.BACKBONE)
+    world.add_module("c", ModuleKind.BACKBONE, pos=(2 * world.config.module_pitch, 0.0))
+    world.add_connection(DockConnection("b", 1, "c", 3))
+    return world
+
+
 def passive_far_from_a_scout() -> World:
     world = scout_docked_to("p", ModuleKind.PASSIVE, spec=passive_spec(num_ports=2))
     world.add_module("far", ModuleKind.SCOUT, pos=(1.0, 1.0))
@@ -1124,6 +1153,11 @@ class TestEngineRejections:
         (lambda: two(ModuleKind.SCOUT, ModuleKind.SCOUT), [("a", DockWith("b", 9, 0))],
          "BadTarget"),
         (lambda: lone(ModuleKind.ACTIVE_WHEEL), [("m", LiftChain(("zz",)))], "BadTarget"),
+        # The next two reach lift_feasible's checks for an empty chain and
+        # for a repeat; the repeat below is a docked path, so only that
+        # check refuses it.
+        (scout_holding_two, [("s", LiftChain(()))], "BadTarget"),
+        (scout_holding_two, [("s", LiftChain(("b", "c", "b")))], "BadTarget"),
         (lambda: scout_docked_to("b", ModuleKind.BACKBONE, port=3),
          [("b", Undock(3)), ("s", Undock(1))], "BadTarget"),
         (lambda: two(ModuleKind.ACTIVE_WHEEL, ModuleKind.ACTIVE_WHEEL),
@@ -1134,7 +1168,8 @@ class TestEngineRejections:
     ], ids=["no_such_module", "dead_battery", "passive_move", "passive_turn",
             "passive_lift", "passive_lower", "scout_move_backwards", "docked_turn",
             "passive_dock_far", "undock_free_port", "lower_no_chain", "dock_unknown_peer",
-            "dock_port_9", "lift_unknown", "second_undock_of_a_link", "wheel_to_wheel",
+            "dock_port_9", "lift_unknown", "lift_empty_chain", "lift_repeated_member",
+            "second_undock_of_a_link", "wheel_to_wheel",
             "bend_past_limit", "lifter_lifts_again"])
     def test_rejected(self, build, directives, reason):
         engine = Engine(build())
@@ -1187,3 +1222,20 @@ class TestRescueFailureReasons:
         assert rescuer.done and rescuer.failed
         assert [(e.tick, e.data) for e in engine.log.events_named("DirectiveRejected")] == [
             (1, {"directive": "DockWith", "reason": "PortBusy"})]
+
+    def test_fallen_block_that_cannot_move(self):
+        # Reaches the fallen part's CannotMove: righted, a passive block
+        # (with a pack of its own, so it can call for help) has its move
+        # refused, so it never reads busy.
+        world = World()
+        world.add_module("p", ModuleKind.PASSIVE, posture=Posture(fallen_port=1),
+                         spec=passive_spec(num_ports=2, energy_wh=10.0))
+        world.add_module("aw1", ModuleKind.ACTIVE_WHEEL, pos=(1.5, 0.0))
+        fallen, rescuer = Choreography("p", _fallen_module), Choreography("aw1", _rescuer)
+        engine = Engine(world, controllers=[fallen, rescuer])
+        [(tick, subjects, data)] = self.step_until_ended(engine, fallen)
+        assert (subjects, data) == (("p",), {"reason": "CannotMove"})
+        assert fallen.failed and rescuer.done and not rescuer.failed
+        assert "PostureUpright" in engine.log.names()
+        assert [(e.tick, e.data) for e in engine.log.events_named("DirectiveRejected")] == [
+            (tick - 1, {"directive": "Move", "reason": "Unsupported"})]
