@@ -507,6 +507,21 @@ class TestStepEnergy:
         assert world.modules["lone"].stored_wh == lone_before
         assert world.modules["m0"].stored_wh < 33.0
 
+    def test_a_failing_organism_raises_with_the_world_untouched(self):
+        # The organisms before and after "n" would draw; without ``shed`` the
+        # step raises n's error, and no battery or ledger moves.
+        world = chain_organism([{"soc": 0.9}, {"kind": ModuleKind.PASSIVE, "load": 5.0}])
+        world.add_module("n", ModuleKind.BACKBONE, pos=(5.0, 0.0), soc=0.6, sharing_on=False)
+        world.add_module("p", ModuleKind.BACKBONE, pos=(-5.0, 0.0), soc=0.8)
+        world.modules["n"].load_draw_w = world.modules["p"].load_draw_w = 3.0
+        assert connected_components(world) == [("m0", "m1"), ("n",), ("p",)]
+        socs = {mid: st.soc for mid, st in world.modules.items()}
+        with pytest.raises(NoSupplier) as raised:
+            step_energy(world, 1.0)
+        assert raised.value.organism == ("n",)
+        assert {mid: st.soc for mid, st in world.modules.items()} == socs
+        assert (world.delivered_load_wh, world.resistive_loss_wh) == (0.0, 0.0)
+
     def test_rejects_nonpositive_dt(self):
         world = chain_organism([{"soc": 1.0}])
         with pytest.raises(ValueError):

@@ -640,19 +640,23 @@ class TestPowerFailurePolicies:
         assert not engine.halted
 
     def test_shed_organism_that_fails_again_halts(self, monkeypatch):
-        from heterosim import powerbus
+        # Both lone Backbones would brown out, and "a" fails again after its
+        # shed: the run halts before "b" is shed, and no battery moves.
+        def always_short(world, organism, **_):
+            raise powerbus.InsufficientSupply("short", organism)
 
-        def always_short(world, dt):
-            raise powerbus.InsufficientSupply("short", ("m",))
-
-        monkeypatch.setattr(powerbus, "step_energy", always_short)
+        monkeypatch.setattr(powerbus, "solve_bus", always_short)
         world = World()
-        world.add_module("m", ModuleKind.BACKBONE)
+        world.add_module("a", ModuleKind.BACKBONE, soc=0.7)
+        world.add_module("b", ModuleKind.BACKBONE, pos=(1.0, 0.0), soc=0.4)
         engine = Engine(world, shed_policy="shed")
         events = engine.step()
-        assert [e.event for e in events] == ["BrownOut", "FatalEvent"]
+        assert [(e.event, e.subjects) for e in events] == [
+            ("BrownOut", ("a",)), ("FatalEvent", ())]
         assert events[1].data["detail"] == "load shedding failed"
         assert engine.halted
+        assert {mid: st.soc for mid, st in world.modules.items()} == {"a": 0.7, "b": 0.4}
+        assert (world.delivered_load_wh, world.resistive_loss_wh) == (0.0, 0.0)
 
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ValueError, match="shed_policy must be 'halt' or 'shed', got 'Shed'"):
