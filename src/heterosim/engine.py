@@ -541,26 +541,20 @@ class Engine:
             # ModuleState.alive, written inline.
             alive = state.soc > 0.0 or state.spec.battery.energy_full_wh <= 0.0
             state.load_draw_w = (driving_w if mid in driving else idle_w) if alive else 0.0
-        shed: set[tuple[str, ...]] = set()  # shed once each; failing again halts
-        while True:
-            try:
-                powerbus.step_energy(world, self.config.dt)
-                return
-            except powerbus.PowerBusError as exc:
-                if self.shed_policy == "shed" and exc.organism not in shed:
-                    shed.add(exc.organism)
-                    self.emit("BrownOut", exc.organism, {"error": type(exc).__name__})
-                    for mid in exc.organism:
-                        world.modules[mid].load_draw_w = 0.0
-                    continue
-                if self.shed_policy == "shed":
-                    self.emit("FatalEvent", (), {"error": "PowerBusError",
-                                                 "detail": "load shedding failed"})
-                else:
-                    self.emit("FatalEvent", exc.organism, {
-                        "error": type(exc).__name__, "detail": str(exc)})
-                self.halted = True
-                return
+        try:
+            powerbus.step_energy(world, self.config.dt,
+                                 self._shed if self.shed_policy == "shed" else None)
+        except powerbus.PowerBusError as exc:
+            if self.shed_policy == "shed":  # the organism shed this tick failed again
+                exc = powerbus.PowerBusError("load shedding failed")
+            self.emit("FatalEvent", exc.organism, {"error": type(exc).__name__, "detail": str(exc)})
+            self.halted = True
+
+    def _shed(self, exc: powerbus.PowerBusError) -> None:
+        """Log the organism's brown-out and switch its loads off for the tick."""
+        self.emit("BrownOut", exc.organism, {"error": type(exc).__name__})
+        for mid in exc.organism:
+            self.world.modules[mid].load_draw_w = 0.0
 
     # -- phase 6 ---------------------------------------------------------------------
 

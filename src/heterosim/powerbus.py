@@ -134,7 +134,6 @@ class BusSolution:
 def solve_bus(
     world: World,
     organism: tuple[str, ...] | None = None,
-    *,
     min_supplier_stored_wh: float = 0.0,
     charge_headroom_wh: float = 0.0,
 ) -> BusSolution:
@@ -289,7 +288,7 @@ def _largest_root(suppliers, chargers, points, v_lo, v_hi, limit, cap,
     return None
 
 
-def step_energy(world: World, dt: float) -> World:
+def step_energy(world: World, dt: float, shed=None) -> World:
     """Advance every organism's batteries by ``dt`` seconds.
 
     Suppliers are drained by their open-circuit voltage times exported
@@ -297,23 +296,30 @@ def step_energy(world: World, dt: float) -> World:
     intake. The difference against what the loads received is booked as
     resistive loss, so stored energy, delivered load energy and loss always
     sum to zero. A battery close enough to a bound that one step could
-    cross it sits the step out, which keeps the accounting exact.
+    cross it sits the step out, which keeps the accounting exact. Each
+    organism is solved once, in order, and no battery moves until all are:
+    a :class:`PowerBusError` propagates with the world untouched. Given
+    ``shed``, ``shed(error)`` runs instead (it may switch that organism's
+    loads off), and that organism alone is solved once more.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0: {dt}")
     cfg = world.config
     limit, cap = cfg.current_limit_a, cfg.recharge_max_a
     hours = dt / 3600.0
-    # Solve every organism before touching any battery, so a brown-out on
-    # one organism leaves the whole world untouched (the engine may shed
-    # loads and retry the step). Rounding is monotone, so the largest v_full
-    # (the world caches it with the organisms) sets the largest reserve and
-    # headroom of any member.
+    # Rounding is monotone, so the largest v_full (the world caches it with
+    # the organisms) sets the largest reserve and headroom of any member.
     organisms, v_full = connected_components(world), world._index()[2]
-    solutions = [solve_bus(world, members,
-                           min_supplier_stored_wh=v_full[members] * limit * hours,
-                           charge_headroom_wh=v_full[members] * cap * hours)
-                 for members in organisms]
+    solutions = []
+    for members in organisms:
+        reserve, headroom = v_full[members] * limit * hours, v_full[members] * cap * hours
+        try:
+            solutions.append(solve_bus(world, members, reserve, headroom))
+        except PowerBusError as exc:
+            if shed is None:
+                raise
+            shed(exc)
+            solutions.append(solve_bus(world, members, reserve, headroom))
     delivered = world.delivered_load_wh
     loss = world.resistive_loss_wh
     for solution in solutions:

@@ -642,7 +642,7 @@ class TestPowerFailurePolicies:
     def test_shed_organism_that_fails_again_halts(self, monkeypatch):
         # Both lone Backbones would brown out, and "a" fails again after its
         # shed: the run halts before "b" is shed, and no battery moves.
-        def always_short(world, organism, **_):
+        def always_short(world, organism, *_, **__):
             raise powerbus.InsufficientSupply("short", organism)
 
         monkeypatch.setattr(powerbus, "solve_bus", always_short)
@@ -657,6 +657,32 @@ class TestPowerFailurePolicies:
         assert engine.halted
         assert {mid: st.soc for mid, st in world.modules.items()} == {"a": 0.7, "b": 0.4}
         assert (world.delivered_load_wh, world.resistive_loss_wh) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("browning", [0, 8, 16])
+    def test_each_shed_organism_alone_is_solved_again(self, monkeypatch, browning):
+        # 16 carriers on 1 A limiters; each one driving a 60 W wheel browns
+        # out. A tick solves every organism once, then each shed one again.
+        config = SimConfig().with_overrides({"drive_draw_w": 60.0, "current_limit_a": 1.0})
+        world, timeline = World(config), []
+        for k in range(16):
+            ids = tuple(f"o{k:02d}{name}" for name in ("aw1", "bb1", "bb2", "aw2"))
+            wheel = add_carrier(world, ids, y=float(k))[0]
+            if k < browning:
+                timeline.append(TimelineEntry(0, wheel, Move(1000.0)))
+        engine = Engine(world, timeline=timeline, shed_policy="shed")
+        original, solved = powerbus.solve_bus, []
+
+        def counted(*args, **kwargs):
+            solved.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(powerbus, "solve_bus", counted)
+        for _ in range(3):
+            solved.clear()
+            events = engine.step()
+            assert len(solved) == 16 + browning
+            assert len([e for e in events if e.event == "BrownOut"]) == browning
+        assert not engine.halted
 
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ValueError, match="shed_policy must be 'halt' or 'shed', got 'Shed'"):
