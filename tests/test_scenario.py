@@ -663,10 +663,11 @@ class TestPowerFailurePolicies:
         # 16 carriers on 1 A limiters; each one driving a 60 W wheel browns
         # out. A tick solves every organism once, then each shed one again.
         config = SimConfig().with_overrides({"drive_draw_w": 60.0, "current_limit_a": 1.0})
-        world, timeline = World(config), []
+        world, timeline, expected = World(config), [], []
         for k in range(16):
             ids = tuple(f"o{k:02d}{name}" for name in ("aw1", "bb1", "bb2", "aw2"))
             wheel = add_carrier(world, ids, y=float(k))[0]
+            expected += [tuple(sorted(ids))] * (2 if k < browning else 1)
             if k < browning:
                 timeline.append(TimelineEntry(0, wheel, Move(1000.0)))
         engine = Engine(world, timeline=timeline, shed_policy="shed")
@@ -681,6 +682,7 @@ class TestPowerFailurePolicies:
             solved.clear()
             events = engine.step()
             assert len(solved) == 16 + browning
+            assert solved == expected
             assert len([e for e in events if e.event == "BrownOut"]) == browning
         assert not engine.halted
 
