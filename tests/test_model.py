@@ -8,9 +8,12 @@ import pytest
 
 import heterosim
 import heterosim.engine
+from heterosim.config import ConfigError, SimConfig
 from heterosim.engine import _Activity
+from heterosim.experiments import MetricsReport
 from heterosim.mechanics import LiftAssessment
 from heterosim.model import (
+    BatteryModel,
     DockConnection,
     ModuleKind,
     ModuleState,
@@ -23,7 +26,15 @@ from heterosim.model import (
     total_compute,
 )
 from heterosim.powerbus import BusSolution
-from heterosim.scenario import Event, LowerChain, ModuleSnapshot, Move, PortView
+from heterosim.scenario import (
+    Event,
+    LowerChain,
+    ModuleSnapshot,
+    Move,
+    PortView,
+    ScenarioScript,
+    TimelineEntry,
+)
 
 
 class TestSpecTable:
@@ -387,3 +398,115 @@ class TestRecordTypes:
         classes = {name for name, obj in vars(engine).items()
                    if isinstance(obj, type) and obj.__module__ == engine.__name__}
         assert classes == {"Controller", "Engine", "_Activity"}
+
+
+def _records():
+    """One instance of each of the eight records, keyed by class name."""
+    world = World()
+    return {
+        "SimConfig": SimConfig(dt=0.5),
+        "BatteryModel": BatteryModel(energy_full_wh=5.0),
+        "ModuleSpec": passive_spec(num_ports=2, mass_kg=0.5),
+        "Pose": Pose(0.25, -1.0, 90),
+        "DockConnection": DockConnection("b", 2, "a", 1, 90),
+        "ModuleState": world.add_module("p", ModuleKind.PASSIVE, pos=(0.5, 0.0)),
+        "MetricsReport": MetricsReport(organisms=[{"members": ["a"]}], total_mips=3100,
+                                       total_wh=1.5, speeds={"a": 2.0}, rescue_success=True),
+        "ScenarioScript": ScenarioScript(modules=[{"id": "a"}],
+                                         timeline=[TimelineEntry(0, "a", Move(0.5))], dt=0.1),
+    }
+
+
+_NO_PACK = "BatteryModel(cells=0, energy_full_wh=0.0, v_full=25.2, v_empty=19.8, internal_resistance=0.1)"
+_PASSIVE = ("ModuleSpec(kind=<ModuleKind.PASSIVE: 'passive'>, locomotion_speed_cm_s=0.0, "
+            "num_ports={ports}, bend_limit_deg=0.0, rotation_limit_deg=0.0, max_torque_nm=0.0, "
+            "actuation_speed_deg_s=0.0, mass_kg={mass}, compute_mips=0, "
+            f"battery={_NO_PACK}, can_actively_lock=False)")
+
+
+class TestRecordBehaviour:
+    """What the eight records show to callers: their reprs, equality only
+    with their own class, hashes and refusals of the frozen ones, fresh
+    list defaults, and the config's coercion of ``--set`` strings."""
+
+    REPRS = {
+        "SimConfig": (
+            "SimConfig(dt=0.5, module_pitch=0.105, misalignment_tolerance=0.05, "
+            "wireless_range=2.0, wireless_drop_probability=0.0, random_seed=0, "
+            "lock_energy_j=0.5, dock_handshake_s=2.0, current_limit_a=8.0, recharge_max_a=1.4, "
+            "recharge_enabled=True, idle_draw_w=0.5, drive_draw_w=5.0, gravity=9.81, "
+            "scout_max_torque_nm=4.0)"),
+        "BatteryModel": ("BatteryModel(cells=6, energy_full_wh=5.0, v_full=25.2, v_empty=19.8, "
+                         "internal_resistance=0.1)"),
+        "ModuleSpec": _PASSIVE.format(ports=2, mass=0.5),
+        "Pose": "Pose(x=0.25, y=-1.0, heading_deg=90)",
+        "DockConnection": ("DockConnection(module_a='a', port_a=1, module_b='b', port_b=2, "
+                           "orientation_deg=270)"),
+        "ModuleState": (
+            "ModuleState(module_id='p', kind=<ModuleKind.PASSIVE: 'passive'>, "
+            f"spec={_PASSIVE.format(ports=1, mass=1.0)}, "
+            "pose=Pose(x=0.5, y=0.0, heading_deg=0), posture=Posture(fallen_port=None), "
+            "joint_bend_deg=0.0, joint_rotation_deg=0.0, soc=1.0, sharing_on=True, "
+            "load_draw_w=0.0, ports=[None], lift_turn_deg=0.0, pending_righting=False)"),
+        "MetricsReport": ("MetricsReport(organisms=[{'members': ['a']}], total_mips=3100, "
+                          "total_wh=1.5, speeds={'a': 2.0}, rescue_success=True)"),
+        "ScenarioScript": (
+            "ScenarioScript(builtin=None, modules=[{'id': 'a'}], connections=[], "
+            "timeline=[TimelineEntry(tick=0, module_id='a', directive=Move(distance_m=0.5))], "
+            "dt=0.1, max_ticks=10000, shed_policy='halt', params={})"),
+    }
+    FROZEN = ("SimConfig", "BatteryModel", "ModuleSpec", "DockConnection")
+
+    @pytest.mark.parametrize("name", sorted(REPRS))
+    def test_repr(self, name):
+        assert repr(_records()[name]) == self.REPRS[name]
+
+    @pytest.mark.parametrize("name", sorted(REPRS))
+    def test_equal_only_to_its_own_class(self, name):
+        record, again = _records()[name], _records()[name]
+        assert record == again and not record != again
+        # The field values in order; BatteryModel's derived span and
+        # conductance are attributes but not fields, so not in its repr.
+        values = tuple(value for key, value in vars(record).items()
+                       if f"{key}=" in self.REPRS[name])
+        assert record != values and values != record
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_frozen_records_refuse_changes_and_hash_by_value(self, name):
+        record, again = _records()[name], _records()[name]
+        for field, value in vars(record).items():
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert vars(record) == vars(again)
+        assert hash(record) == hash(again)
+        assert len({record, again}) == 1
+
+    @pytest.mark.parametrize("name", ["Pose", "ModuleState"])
+    def test_mutable_records_are_unhashable(self, name):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(_records()[name])
+
+    def test_each_script_has_its_own_lists(self):
+        first, second = ScenarioScript(), ScenarioScript()
+        first.modules.append({"id": "a"})
+        first.connections.append({})
+        first.timeline.append(TimelineEntry(0, "a", Move(0.5)))
+        first.params["n"] = 1
+        assert (second.modules, second.connections, second.timeline, second.params) == (
+            [], [], [], {})
+        assert MetricsReport().organisms is not MetricsReport().organisms
+
+    def test_overrides_coerce_to_each_field_type(self):
+        config = SimConfig().with_overrides(
+            {"recharge_enabled": "off", "random_seed": "7", "dt": "0.25"})
+        assert config == SimConfig(recharge_enabled=False, random_seed=7, dt=0.25)
+        assert [type(value) for value in (
+            config.recharge_enabled, config.random_seed, config.dt)] == [bool, int, float]
+        assert SimConfig().with_overrides({"random_seed": 3, "gravity": 10}).gravity == 10.0
+        assert type(SimConfig().with_overrides({"gravity": 10}).gravity) is float
+        with pytest.raises(ConfigError, match="unknown config key: 'span'"):
+            SimConfig().with_overrides({"span": 1.0})
+        with pytest.raises(ConfigError, match="bad value for random_seed: '1.5'"):
+            SimConfig().with_overrides({"random_seed": "1.5"})
