@@ -1,4 +1,5 @@
-"""Tunable simulation constants, shared by every subsystem.
+"""Tunable simulation constants, shared by every subsystem, and the base of
+the records, :class:`Record`.
 
 Each field is a single named knob; the CLI exposes them one to one via
 ``--set name=value``. Values not measured on the real platforms are marked
@@ -6,9 +7,59 @@ Each field is a single named knob; the CLI exposes them one to one via
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class Record:
+    """Fields in annotation order (of the class body, or of the subclass's own
+    ``__init__``), a repr of them, equality only within one class, and
+    ``replace``, which builds through the constructor and so checks again.
+    The inherited ``__init__`` copies each list or dict default and calls
+    ``__post_init__``. A ``frozen=True`` record refuses assignment and
+    deletion and hashes by its fields; any other record is unhashable."""
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        annotations = (vars(cls).get("__init__") or cls).__annotations__
+        cls._fields = tuple(name for name in annotations if name != "return")
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._values = attrgetter(*cls._fields)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            cls.__hash__ = lambda self: hash(self._values(self))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls = type(self)
+        given = dict(zip(cls._fields, args), **kwargs)
+        # Too many arguments or one given twice; an unknown name or a field left out.
+        if (len(given) < len(args) + len(kwargs)
+                or (given.keys() ^ cls._fields) - cls._defaults.keys()):
+            raise TypeError(f"{cls.__name__} takes {', '.join(cls._fields)}; got {args}, {kwargs}")
+        for name in cls._fields:
+            if name not in given:
+                value = cls._defaults[name]
+                given[name] = value.copy() if type(value) in (list, dict) else value
+            object.__setattr__(self, name, given[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass that needs no checks keeps this."""
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def replace(self, **changes: object):
+        """A copy with ``changes`` applied, checked as a new record is."""
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
 class ConfigError(ValueError):
@@ -20,8 +71,7 @@ class ConfigError(ValueError):
 MAX_DT_S = 3600.0
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record, frozen=True):
     # Engine timing
     dt: float = 0.1                      # seconds per tick, at most MAX_DT_S
     # Arena geometry
@@ -73,23 +123,21 @@ class SimConfig:
         String values are coerced to the field's type, so the CLI can pass
         ``--set`` pairs straight through.
         """
-        known = {f.name: f for f in dataclasses.fields(self)}
+        types = SimConfig.__annotations__
         parsed: dict[str, object] = {}
         for name, value in overrides.items():
-            if name not in known:
+            if name not in types:
                 raise ConfigError(f"unknown config key: {name!r}")
-            ftype = known[name].type
             try:
-                parsed[name] = _coerce(value, ftype)
+                parsed[name] = _coerce(value, types[name])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
-        cfg = dataclasses.replace(self, **parsed)
+        cfg = self.replace(**parsed)
         cfg.validate()
         return cfg
 
 
-def _coerce(value: object, ftype: str | type) -> object:
-    name = ftype if isinstance(ftype, str) else ftype.__name__
+def _coerce(value: object, name: str) -> object:
     if name == "bool":  # a JSON true or false reads as "True" or "False"
         text = str(value).strip().lower()
         if text in ("1", "true", "yes", "on"):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import mechanics, powerbus
-from .config import SimConfig
+from .config import Record, SimConfig
 from .engine import Engine
 from .model import (
     DockConnection,
@@ -41,19 +40,18 @@ from .scenario import (
 )
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(Record):
     """Summary emitted next to the event log after a run."""
 
-    organisms: list[dict] = field(default_factory=list)
+    organisms: list[dict] = []
     total_mips: int = 0
     total_wh: float = 0.0
-    speeds: dict = field(default_factory=dict)
+    speeds: dict = {}
     rescue_success: Optional[bool] = None
 
     def to_json(self) -> str:
         """The fields in order, each float rounded to 9 places."""
-        return json.dumps(_jsonable(asdict(self)), indent=2) + "\n"
+        return json.dumps(_jsonable(dict(zip(self._fields, self._values(self)))), indent=2) + "\n"
 
 
 def judge(engine: Engine, world_ok: bool = True, speeds: Optional[dict] = None,

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
-from .config import DEFAULT_CONFIG, SimConfig
+from .config import DEFAULT_CONFIG, Record, SimConfig
 
 
 class ModuleKind(Enum):
@@ -24,8 +23,7 @@ class ModuleKind(Enum):
     PASSIVE = "passive"
 
 
-@dataclass(frozen=True)
-class BatteryModel:
+class BatteryModel(Record, frozen=True):
     """Six-cell LiPo pack common to the active platforms.
 
     Open-circuit voltage is a linear function of state of charge between the
@@ -41,8 +39,10 @@ class BatteryModel:
     internal_resistance: float = 0.1  # ohms
 
     def __post_init__(self) -> None:
-        if self.energy_full_wh < 0:
+        if not self.energy_full_wh >= 0:
             raise ValueError(f"battery energy must be >= 0 Wh, got {self.energy_full_wh}")
+        if not self.v_full >= self.v_empty:
+            raise ValueError(f"v_full must be >= v_empty, got {self.v_full} and {self.v_empty}")
         if not self.internal_resistance > 0:
             raise ValueError(f"internal resistance must be > 0 ohm, got {self.internal_resistance}")
         object.__setattr__(self, "span", self.v_full - self.v_empty)
@@ -64,8 +64,7 @@ NO_BATTERY = BatteryModel(cells=0, energy_full_wh=0.0)
 MAX_PORTS = 6
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Record, frozen=True):
     """Immutable published characteristics of one platform."""
 
     kind: ModuleKind
@@ -84,7 +83,7 @@ class ModuleSpec:
         for name in ("locomotion_speed_cm_s", "num_ports", "bend_limit_deg",
                      "rotation_limit_deg", "max_torque_nm", "actuation_speed_deg_s",
                      "mass_kg", "compute_mips"):
-            if (value := getattr(self, name)) < 0:
+            if not (value := getattr(self, name)) >= 0:
                 raise ValueError(f"module spec field {name} must be non-negative, got {value}")
         if self.num_ports < 1:
             raise ValueError("a module has at least one docking port")
@@ -167,10 +166,9 @@ def passive_spec(
     can_actively_lock: bool = False,
 ) -> ModuleSpec:
     """Build the spec of a passive block (payload pack, structural element)."""
-    battery = NO_BATTERY if energy_wh == 0 else replace(
-        STANDARD_BATTERY, energy_full_wh=energy_wh)
-    return replace(
-        _SPECS[ModuleKind.PASSIVE],
+    battery = NO_BATTERY if energy_wh == 0 else STANDARD_BATTERY.replace(
+        energy_full_wh=energy_wh)
+    return _SPECS[ModuleKind.PASSIVE].replace(
         num_ports=num_ports,
         mass_kg=mass_kg,
         compute_mips=compute_mips,
@@ -186,19 +184,15 @@ HEADINGS = (0, 90, 180, 270)
 MAX_COORD_M = 1e6
 
 
-@dataclass
-class Pose:
+class Pose(Record):
     """Planar position in meters plus a 90-degree-quantized heading."""
 
-    x: float = 0.0
-    y: float = 0.0
-    heading_deg: int = 0
-
-    def __post_init__(self) -> None:
-        if self.heading_deg not in HEADINGS:
-            raise ValueError(f"heading must be one of {HEADINGS}: {self.heading_deg}")
-        if not (abs(self.x) <= MAX_COORD_M and abs(self.y) <= MAX_COORD_M):
-            raise ValueError(f"|x| and |y| must be at most {MAX_COORD_M:g} m: {self.x}, {self.y}")
+    def __init__(self, x: float = 0.0, y: float = 0.0, heading_deg: int = 0) -> None:
+        if heading_deg not in HEADINGS:
+            raise ValueError(f"heading must be one of {HEADINGS}: {heading_deg}")
+        if not (abs(x) <= MAX_COORD_M and abs(y) <= MAX_COORD_M):
+            raise ValueError(f"|x| and |y| must be at most {MAX_COORD_M:g} m: {x}, {y}")
+        self.x, self.y, self.heading_deg = x, y, heading_deg
 
 
 class Posture(NamedTuple):
@@ -222,8 +216,7 @@ def inverse_orientation(orientation_deg: int) -> int:
     return (360 - orientation_deg) % 360
 
 
-@dataclass(frozen=True)
-class DockConnection:
+class DockConnection(Record, frozen=True):
     """A locked port-to-port link; one undirected edge of the organism graph.
 
     Stored in canonical order: ``(module_a, port_a)`` is the lexicographically
@@ -231,23 +224,19 @@ class DockConnection:
     matter which side named it first.
     """
 
-    module_a: str
-    port_a: int
-    module_b: str
-    port_b: int
-    orientation_deg: int = 0
-
-    def __post_init__(self) -> None:
-        if self.orientation_deg not in ORIENTATIONS:
+    def __init__(self, module_a: str, port_a: int, module_b: str, port_b: int,
+                 orientation_deg: int = 0) -> None:
+        if orientation_deg not in ORIENTATIONS:
             raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-        if (self.module_b, self.port_b) < (self.module_a, self.port_a):
-            a, pa = self.module_a, self.port_a
-            object.__setattr__(self, "module_a", self.module_b)
-            object.__setattr__(self, "port_a", self.port_b)
-            object.__setattr__(self, "module_b", a)
-            object.__setattr__(self, "port_b", pa)
-            object.__setattr__(
-                self, "orientation_deg", inverse_orientation(self.orientation_deg))
+        if (module_b, port_b) < (module_a, port_a):
+            module_a, port_a, module_b, port_b = module_b, port_b, module_a, port_a
+            orientation_deg = inverse_orientation(orientation_deg)
+        assign = object.__setattr__  # the class's own refuses: it is frozen
+        assign(self, "module_a", module_a)
+        assign(self, "port_a", port_a)
+        assign(self, "module_b", module_b)
+        assign(self, "port_b", port_b)
+        assign(self, "orientation_deg", orientation_deg)
 
     @property
     def key(self) -> tuple[str, int, str, int]:
@@ -264,34 +253,27 @@ class DockConnection:
         raise KeyError(f"{module_id} is not an endpoint of {self.key}")
 
 
-@dataclass
-class ModuleState:
+class ModuleState(Record):
     """One robot's mutable situation; its lifter, if any, is in ``World.lifted``."""
 
-    module_id: str
-    kind: ModuleKind
-    spec: ModuleSpec
-    pose: Pose
-    posture: Posture = UPRIGHT
-    joint_bend_deg: float = 0.0
-    joint_rotation_deg: float = 0.0
-    soc: float = 1.0
-    sharing_on: bool = True
-    load_draw_w: float = 0.0
-    ports: list[Optional[DockConnection]] = field(default_factory=list)  # None: unlocked
-    # Engine-managed: joint turn since this module last lifted; righting owed.
-    lift_turn_deg: float = 0.0
-    pending_righting: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.ports:
-            self.ports = [None] * self.spec.num_ports
-        if not 0.0 <= self.soc <= 1.0:
-            raise ValueError(f"soc out of range [0, 1]: {self.soc}")
-        if abs(self.joint_bend_deg) > self.spec.bend_limit_deg:
+    def __init__(self, module_id: str, kind: ModuleKind, spec: ModuleSpec, pose: Pose,
+                 posture: Posture = UPRIGHT, joint_bend_deg: float = 0.0,
+                 joint_rotation_deg: float = 0.0, soc: float = 1.0, sharing_on: bool = True,
+                 load_draw_w: float = 0.0,
+                 ports: Optional[list[Optional[DockConnection]]] = None,  # None: unlocked port
+                 # Engine-managed: joint turn since this module last lifted; righting owed.
+                 lift_turn_deg: float = 0.0, pending_righting: bool = False) -> None:
+        if not 0.0 <= soc <= 1.0:
+            raise ValueError(f"soc out of range [0, 1]: {soc}")
+        if not abs(joint_bend_deg) <= spec.bend_limit_deg:
             raise ValueError("joint_bend outside spec limit")
-        if abs(self.joint_rotation_deg) > self.spec.rotation_limit_deg:
+        if not abs(joint_rotation_deg) <= spec.rotation_limit_deg:
             raise ValueError("joint_rotation outside spec limit")
+        self.module_id, self.kind, self.spec, self.pose = module_id, kind, spec, pose
+        self.posture, self.joint_bend_deg = posture, joint_bend_deg
+        self.joint_rotation_deg, self.soc, self.sharing_on = joint_rotation_deg, soc, sharing_on
+        self.load_draw_w, self.ports = load_draw_w, ports or [None] * spec.num_ports
+        self.lift_turn_deg, self.pending_righting = lift_turn_deg, pending_righting
 
     @property
     def stored_wh(self) -> float:
@@ -364,7 +346,7 @@ class World:
         if spec is None:
             spec = spec_for(kind)
             if kind is ModuleKind.SCOUT and self.config.scout_max_torque_nm != spec.max_torque_nm:
-                spec = replace(spec, max_torque_nm=self.config.scout_max_torque_nm)
+                spec = spec.replace(max_torque_nm=self.config.scout_max_torque_nm)
         if spec.kind is not kind:
             raise ValueError("spec kind does not match module kind")
         state = ModuleState(

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
+from .config import Record
 from .mechanics import Joint
 from .model import ModuleKind, ModuleSpec, World
 
@@ -261,19 +261,18 @@ class TimelineEntry(NamedTuple):
     directive: Directive
 
 
-@dataclass
-class ScenarioScript:
+class ScenarioScript(Record):
     """Declarative input of one run: initial layout plus scripted directives,
     or the name of a built-in experiment."""
 
     builtin: Optional[str] = None
-    modules: list[dict] = field(default_factory=list)  # see cli._module_kwargs
-    connections: list[dict] = field(default_factory=list)
-    timeline: list[TimelineEntry] = field(default_factory=list)
+    modules: list[dict] = []  # see cli._module_kwargs
+    connections: list[dict] = []
+    timeline: list[TimelineEntry] = []
     dt: Optional[float] = None
     max_ticks: int = 10_000
     shed_policy: str = "halt"  # "halt" | "shed"
-    params: dict = field(default_factory=dict)
+    params: dict = {}
 
 
 def json_bool(value: object, what: str = "value") -> bool:

@@ -1,6 +1,5 @@
 """Lift statics, joint timing, organism speed, and posture transitions."""
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,7 +145,7 @@ class TestActuationDuration:
 
     def test_joint_without_a_rate_cannot_actuate(self, world):
         # Reaches actuation_duration's check of the actuation rate.
-        spec = replace(spec_for(ModuleKind.BACKBONE), actuation_speed_deg_s=0.0)
+        spec = spec_for(ModuleKind.BACKBONE).replace(actuation_speed_deg_s=0.0)
         world.add_module("stiff", ModuleKind.BACKBONE, pos=(3.0, 0.0), spec=spec)
         with pytest.raises(JointLimitExceeded, match="stiff cannot actuate"):
             actuation_duration(world, "stiff", Joint.BEND, 10.0)
@@ -172,7 +171,7 @@ class TestOrganismSpeed:
 
     def test_carrying_configuration_runs_at_wheel_spec_speed(self):
         world = carrying_world()
-        slow_wheel = replace(spec_for(ModuleKind.ACTIVE_WHEEL), locomotion_speed_cm_s=20.0)
+        slow_wheel = spec_for(ModuleKind.ACTIVE_WHEEL).replace(locomotion_speed_cm_s=20.0)
         for mid in ("aw1", "aw2"):
             world.modules[mid].spec = slow_wheel
         world.lifted.update(bb1="aw1", bb2="aw2")

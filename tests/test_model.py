@@ -1,8 +1,10 @@
 """Platform table, organism graph, compute totals, and record types."""
-import dataclasses
-import importlib
-import pkgutil
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,11 @@ from heterosim.engine import _Activity
 from heterosim.experiments import MetricsReport
 from heterosim.mechanics import LiftAssessment
 from heterosim.model import (
+    STANDARD_BATTERY,
     BatteryModel,
     DockConnection,
     ModuleKind,
+    ModuleSpec,
     ModuleState,
     Pose,
     Posture,
@@ -354,21 +358,20 @@ class TestTotalCompute:
 
 class TestRecordTypes:
     """Value records are NamedTuples and engine records slotted classes;
-    a dataclass is kept only where its API is used (``fields``,
-    ``replace`` or ``asdict``) or where converting would not shorten it.
+    the eight records with checks, defaults or ``replace`` share one small
+    base, ``config.Record``, so importing heterosim needs no ``dataclasses``.
     Every activity is one ``_Activity``: its directive and what is left."""
 
-    KEPT = {"BatteryModel", "DockConnection", "MetricsReport", "ModuleSpec",
-            "ModuleState", "Pose", "ScenarioScript", "SimConfig"}
-
-    def test_dataclasses_are_the_kept_set(self):
-        found = set()
-        for info in pkgutil.iter_modules(heterosim.__path__):
-            module = importlib.import_module(f"heterosim.{info.name}")
-            found |= {name for name, obj in vars(module).items()
-                      if isinstance(obj, type) and obj.__module__ == module.__name__
-                      and dataclasses.is_dataclass(obj)}
-        assert found == self.KEPT
+    def test_importing_the_package_and_cli_loads_no_dataclasses(self):
+        # A fresh interpreter, so that no other test has imported them; the
+        # modules loaded before the import (a site hook's) do not count.
+        code = ("import sys; before = set(sys.modules); import heterosim, heterosim.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
     def test_value_records_are_immutable(self):
         port = PortView(0, "free", None)
@@ -510,3 +513,45 @@ class TestRecordBehaviour:
             SimConfig().with_overrides({"span": 1.0})
         with pytest.raises(ConfigError, match="bad value for random_seed: '1.5'"):
             SimConfig().with_overrides({"random_seed": "1.5"})
+
+    def test_arguments_by_position_or_keyword_once_each(self):
+        assert BatteryModel(6, 33.0, v_full=25.2) == STANDARD_BATTERY
+        for bad in (lambda: BatteryModel(6, 33.0, 25.2, 19.8, 0.1, 7),
+                    lambda: BatteryModel(6, cells=6),
+                    lambda: BatteryModel(volts=25.2),
+                    lambda: STANDARD_BATTERY.replace(volts=25.2)):
+            with pytest.raises(TypeError, match="^BatteryModel takes cells, energy_full_wh, "):
+                bad()
+        with pytest.raises(TypeError, match="^ModuleSpec takes kind, "):
+            ModuleSpec()
+
+    def test_replace_checks_the_copy(self):
+        assert STANDARD_BATTERY.replace(v_full=30.0).span == 30.0 - 19.8
+        with pytest.raises(ValueError, match="internal resistance"):
+            STANDARD_BATTERY.replace(internal_resistance=0.0)
+        pose = Pose(1.0, 2.0, 90)
+        assert pose.replace(y=3.0) == Pose(1.0, 3.0, 90) and pose.y == 2.0
+        with pytest.raises(ValueError, match="heading"):
+            pose.replace(heading_deg=45)
+
+
+class TestNaNIsRefused:
+    """A range check written ``x < 0`` lets NaN through, since every
+    comparison with NaN is False; each check here is written so that NaN
+    fails it."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BatteryModel(energy_full_wh=math.nan), "battery energy must be >= 0"),
+        (lambda: BatteryModel(v_full=math.nan), "v_full must be >= v_empty"),
+        (lambda: BatteryModel(v_empty=math.nan), "v_full must be >= v_empty"),
+        (lambda: passive_spec(mass_kg=math.nan), "mass_kg must be non-negative"),
+        (lambda: passive_spec(energy_wh=math.nan), "battery energy must be >= 0"),
+        (lambda: ModuleState("b", ModuleKind.BACKBONE, spec_for(ModuleKind.BACKBONE), Pose(),
+                             joint_bend_deg=math.nan), "joint_bend outside spec limit"),
+        (lambda: ModuleState("b", ModuleKind.BACKBONE, spec_for(ModuleKind.BACKBONE), Pose(),
+                             joint_rotation_deg=math.nan), "joint_rotation outside spec limit"),
+    ], ids=["pack_energy", "v_full", "v_empty", "passive_mass", "passive_energy",
+            "joint_bend", "joint_rotation"])
+    def test_nan_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -2,7 +2,6 @@
 import hashlib
 import math
 import random
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -633,7 +632,7 @@ class TestReserveFollowsTopology:
     @staticmethod
     def add(world, mid, v_full, soc, sharing=True, load=0.0, energy_wh=33.0):
         battery = BatteryModel(v_full=v_full, energy_full_wh=energy_wh)
-        spec = replace(spec_for(ModuleKind.BACKBONE), battery=battery)
+        spec = spec_for(ModuleKind.BACKBONE).replace(battery=battery)
         world.add_module(mid, ModuleKind.BACKBONE, pos=(0.105 * len(world.modules), 0.0),
                          spec=spec, soc=soc, sharing_on=sharing).load_draw_w = load
 
@@ -724,10 +723,10 @@ class TestSourceRangeCheck:
     def test_the_pack_reads_as_before(self):
         assert repr(STANDARD_BATTERY) == ("BatteryModel(cells=6, energy_full_wh=33.0, "
                                           "v_full=25.2, v_empty=19.8, internal_resistance=0.1)")
-        assert [f.name for f in fields(BatteryModel)] == [
-            "cells", "energy_full_wh", "v_full", "v_empty", "internal_resistance"]
+        assert BatteryModel._fields == (
+            "cells", "energy_full_wh", "v_full", "v_empty", "internal_resistance")
         assert STANDARD_BATTERY == BatteryModel()
-        small = replace(STANDARD_BATTERY, energy_full_wh=5.0)
+        small = STANDARD_BATTERY.replace(energy_full_wh=5.0)
         assert small == BatteryModel(energy_full_wh=5.0) != STANDARD_BATTERY
         assert repr(small) == repr(STANDARD_BATTERY).replace("33.0", "5.0")
         assert hash(small) == hash(BatteryModel(energy_full_wh=5.0))

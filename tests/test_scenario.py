@@ -1,7 +1,6 @@
 """Directive dispatch, engine phase behavior, sensor delay, determinism."""
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -771,8 +770,8 @@ class TestDriveDraw:
         world = World()
         aw1, bb1, bb2, aw2 = add_carrier(world, ("aw1", "bb1", "bb2", "aw2"),
                                          socs=(1.0, 1.0, 1.0, 0.0))
-        world.modules[aw2].spec = replace(spec_for(ModuleKind.ACTIVE_WHEEL),
-                                          locomotion_speed_cm_s=20.0)
+        world.modules[aw2].spec = spec_for(ModuleKind.ACTIVE_WHEEL).replace(
+            locomotion_speed_cm_s=20.0)
         world.lifted.update({bb1: aw1, bb2: aw2})
         assert mechanics.ground_drive(world, world.organism_of(aw1)) == (31.0, [aw1])
         events = Engine(world).step([(aw1, Move(1.0))])
