@@ -54,7 +54,7 @@ class Record:
             return NotImplemented
         return self._values(self) == self._values(other)
 
-    def replace(self, **changes: object):
+    def replace(self, **changes: object) -> Record:
         """A copy with ``changes`` applied, checked as a new record is."""
         return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
