@@ -1152,6 +1152,13 @@ def scout_holding_two() -> World:
     return world
 
 
+def docked_backbones(soc_b: float = 1.0) -> World:
+    world = two(ModuleKind.BACKBONE, ModuleKind.BACKBONE)
+    world.modules["b"].soc = soc_b
+    world.add_connection(DockConnection("a", 1, "b", 3))
+    return world
+
+
 def passive_far_from_a_scout() -> World:
     world = scout_docked_to("p", ModuleKind.PASSIVE, spec=passive_spec(num_ports=2))
     world.add_module("far", ModuleKind.SCOUT, pos=(1.0, 1.0))
@@ -1160,13 +1167,16 @@ def passive_far_from_a_scout() -> World:
 
 class TestEngineRejections:
     """Each directive the engine refuses, in the smallest world that
-    reaches the refusal: one ``DirectiveRejected`` naming the reason."""
+    reaches the refusal: one ``DirectiveRejected`` naming the reason. A
+    case whose id reads ``x_before_y`` fails two checks, and pins that the
+    check for ``x`` comes first."""
 
     @pytest.mark.parametrize("build, directives, reason", [
         (lambda: lone(ModuleKind.SCOUT), [("ghost", Wait(1))], "NoSuchModule"),
         (lambda: lone(ModuleKind.SCOUT, soc=0.0), [("m", Wait(1))], "DeadBattery"),
         (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", Move(0.1))],
          "Unsupported"),
+        # Docked, so also unsupported_before_docked_turn.
         (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", Turn(90))],
          "Unsupported"),
         (lambda: scout_docked_to("p", ModuleKind.PASSIVE), [("p", LiftChain(("s",)))],
@@ -1196,12 +1206,21 @@ class TestEngineRejections:
         (lambda: lone(ModuleKind.BACKBONE), [("m", ActuateJoint(Joint.BEND, 120.0))],
          "JointLimit"),
         (lifting_wheel, [("aw", LiftChain(("bb",)))], "Busy"),
+        (lambda: lone(ModuleKind.SCOUT), [("ghost", DockWith("zz", 0, 0))], "NoSuchModule"),
+        # "a" starts a move before "b" is dispatched.
+        (docked_backbones, [("a", Move(0.5)), ("b", DockWith("zz", 0, 0))], "Busy"),
+        (lambda: docked_backbones(soc_b=0.0), [("a", Move(0.5)), ("b", Move(0.5))],
+         "DeadBattery"),
+        (lifting_wheel, [("aw", Move(0.5)), ("bb", Move(0.5))], "CannotMove"),
+        (lifting_wheel, [("aw", Move(0.5)), ("bb", DockWith("zz", 0, 0))], "CannotMove"),
     ], ids=["no_such_module", "dead_battery", "passive_move", "passive_turn",
             "passive_lift", "passive_lower", "scout_move_backwards", "docked_turn",
             "passive_dock_far", "undock_free_port", "lower_no_chain", "dock_unknown_peer",
             "dock_port_9", "lift_unknown", "lift_empty_chain", "lift_repeated_member",
             "second_undock_of_a_link", "wheel_to_wheel",
-            "bend_past_limit", "lifter_lifts_again"])
+            "bend_past_limit", "lifter_lifts_again", "no_such_module_before_bad_peer",
+            "organism_in_motion_before_bad_peer", "dead_battery_before_organism_in_motion",
+            "lifted_before_organism_in_motion", "lifted_dock_before_organism_in_motion"])
     def test_rejected(self, build, directives, reason):
         engine = Engine(build())
         events = engine.step(directives)
