@@ -39,7 +39,7 @@ def wired_hops(world: World, src: str, dst: str) -> int | None:
     return None
 
 
-def wireless_broadcast(world: World, src: str, payload: str = "") -> list[str]:
+def wireless_broadcast(world: World, src: str) -> list[str]:
     """Ids of every module within wireless range of ``src``, sorted.
 
     The sender itself is excluded. Raises :class:`DeadBattery` when the

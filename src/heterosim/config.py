@@ -100,7 +100,7 @@ class SimConfig(Record, frozen=True):
         """Farthest center distance at which two ports still lock."""
         return self.module_pitch * (1.0 + self.misalignment_tolerance)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.dt <= MAX_DT_S:
             raise ConfigError(f"dt must be > 0 and at most {MAX_DT_S:g} s, got {self.dt}")
         positive = (
@@ -118,7 +118,7 @@ class SimConfig(Record, frozen=True):
             raise ConfigError("wireless_drop_probability must be in [0, 1]")
 
     def with_overrides(self, overrides: dict[str, object]) -> "SimConfig":
-        """Return a copy with ``overrides`` applied and validated.
+        """Return a copy with ``overrides`` applied, checked as every config is.
 
         String values are coerced to the field's type, so the CLI can pass
         ``--set`` pairs straight through.
@@ -132,9 +132,7 @@ class SimConfig(Record, frozen=True):
                 parsed[name] = _coerce(value, types[name])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
-        cfg = self.replace(**parsed)
-        cfg.validate()
-        return cfg
+        return self.replace(**parsed)
 
 
 def _coerce(value: object, name: str) -> object:

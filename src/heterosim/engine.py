@@ -6,7 +6,9 @@ snapshot built when asked from the world as the previous tick left it;
 (5) the energy step; (6) message delivery; (7) sensor refresh, which
 records the busy modules and this tick's inboxes for the next reads;
 (8) event emission. All contention is broken by ascending module id, so
-identical inputs always produce identical logs.
+identical inputs always produce identical logs. A dispatch check returns
+the reason it refuses a directive, and phase 2 logs it as the one
+``DirectiveRejected`` of that directive, from one place.
 
 A module runs at most one activity, one slotted record of the directive
 under way and what is left of it, and an organism at most one move or
@@ -144,7 +146,6 @@ class Engine:
         if self.halted:
             return []
         world = self.world
-        self._tick_events = []
         self._driving = set()
         pending: list[tuple[str, Directive]] = []
 
@@ -168,7 +169,9 @@ class Engine:
         idle = [module_id for module_id, _ in pending if module_id not in self.activities]
         claimed_ports: set[tuple[str, int]] = set()
         for module_id, directive in pending:
-            self._dispatch_one(module_id, directive, claimed_ports)
+            reason = self._dispatch_one(module_id, directive, claimed_ports)
+            if reason is not None:
+                self._reject(module_id, directive, reason)
         started = [module_id for module_id in idle if module_id in self.activities]
 
         # Phase 3: motion and actuation integration.
@@ -201,116 +204,95 @@ class Engine:
     # -- phase 2 ----------------------------------------------------------------
 
     def _dispatch_one(self, module_id: str, directive: Directive,
-                      claimed_ports: set[tuple[str, int]]) -> None:
+                      claimed_ports: set[tuple[str, int]]) -> Optional[str]:
+        """Start ``directive`` on ``module_id``; the reason it is refused, or None."""
         world = self.world
         if module_id not in world.modules:
-            self._reject(module_id, directive, "NoSuchModule")
-            return
+            return "NoSuchModule"
         state = world.modules[module_id]
-        if module_id in self.activities:
-            self._reject(module_id, directive, "Busy")
-            return
+        activities = self.activities
+        if module_id in activities:
+            return "Busy"
         if not state.alive:
-            self._reject(module_id, directive, "DeadBattery")
-            return
+            return "DeadBattery"
         try:
             implementation = dispatch(state.spec, directive)
         except UnsupportedDirective:
-            self._reject(module_id, directive, "Unsupported")
-            return
+            return "Unsupported"
         if isinstance(directive, (Move, Turn, DockWith, LiftChain)) and (
                 not state.posture.upright or module_id in world.lifted
                 or isinstance(directive, LiftChain) and self._held_up(module_id)):
-            self._reject(module_id, directive, "CannotMove")
-            return
+            return "CannotMove"
+        if isinstance(directive, (Move, DockWith)):
+            # Motion is the organism's: one member moves or approaches at a time.
+            members = world.organism_of(module_id)
+            if any(mid in activities and isinstance(activities[mid].directive, (Move, DockWith))
+                   for mid in members):
+                return "Busy"
 
         if isinstance(directive, Move):
-            members = world.organism_of(module_id)
-            if self._in_motion(members):
-                self._reject(module_id, directive, "Busy")
-                return
             speed_cm = mechanics.organism_speed(world, members)
-            self.activities[module_id] = _Activity(directive, directive.distance_m)
+            activities[module_id] = _Activity(directive, directive.distance_m)
             self.emit("MoveStart", (module_id,), {
                 "distance_m": directive.distance_m, "speed_cm_s": speed_cm,
                 "implementation": implementation})
         elif isinstance(directive, Turn):
             if any(conn is not None for conn in state.ports):
-                self._reject(module_id, directive, "CannotMove")
-                return
+                return "CannotMove"
             duration = (0.0 if state.kind is ModuleKind.ACTIVE_WHEEL  # omni: one tick
                         else mechanics.joint_travel_s(state.spec, 0, directive.angle_deg))
-            self.activities[module_id] = _Activity(directive, duration)
+            activities[module_id] = _Activity(directive, duration)
             self.emit("TurnStart", (module_id,), {
                 "angle_deg": directive.angle_deg, "implementation": implementation})
         elif isinstance(directive, DockWith):
-            self._dispatch_dock(module_id, directive, claimed_ports)
+            return self._dispatch_dock(module_id, directive, claimed_ports)
         elif isinstance(directive, Undock):
             if not 0 <= directive.port < state.spec.num_ports \
                     or state.ports[directive.port] is None:
-                self._reject(module_id, directive, "BadTarget")
-                return
-            self.activities[module_id] = _Activity(directive)
+                return "BadTarget"
+            activities[module_id] = _Activity(directive)
         elif isinstance(directive, ActuateJoint):
-            self._dispatch_actuation(module_id, directive)
+            return self._dispatch_actuation(module_id, directive)
         elif isinstance(directive, SetSharing):
             state.sharing_on = directive.on
             self.emit("SharingSet", (module_id,), {"on": directive.on})
         elif isinstance(directive, LiftChain):
-            self._dispatch_lift(module_id, directive)
+            return self._dispatch_lift(module_id, directive)
         elif isinstance(directive, LowerChain):
             if module_id not in world.lifted.values():
-                self._reject(module_id, directive, "BadTarget")
-                return
-            self.activities[module_id] = _Activity(
+                return "BadTarget"
+            activities[module_id] = _Activity(
                 directive, mechanics.joint_travel_s(state.spec, state.joint_bend_deg, 0.0))
             self.emit("LowerStart", (module_id,), {"chain": list(world.lifted_chain(module_id))})
         elif isinstance(directive, Broadcast):
             self._pending_broadcasts.append((module_id, directive.payload))
         elif isinstance(directive, Wait):
-            self.activities[module_id] = _Activity(directive, directive.ticks * self.config.dt)
-
-    def _in_motion(self, members: tuple[str, ...]) -> bool:
-        """Motion is the organism's: one member moves or approaches at a time."""
-        activities = self.activities
-        for mid in members:
-            if mid in activities and isinstance(activities[mid].directive, (Move, DockWith)):
-                return True
-        return False
+            activities[module_id] = _Activity(directive, directive.ticks * self.config.dt)
+        return None
 
     def _dispatch_dock(self, module_id: str, directive: DockWith,
-                       claimed_ports: set[tuple[str, int]]) -> None:
+                       claimed_ports: set[tuple[str, int]]) -> Optional[str]:
         world = self.world
-        state = world.modules[module_id]
-        if self._in_motion(world.organism_of(module_id)):
-            self._reject(module_id, directive, "Busy")
-            return
         if directive.peer not in world.modules:
-            self._reject(module_id, directive, "BadTarget")
-            return
+            return "BadTarget"
         try:
             reason = docking.can_dock(
                 world, module_id, directive.own_port,
                 directive.peer, directive.peer_port, directive.orientation_deg)
         except IndexError:
-            self._reject(module_id, directive, "BadTarget")
-            return
+            return "BadTarget"
         if reason is not None:
-            self._reject(module_id, directive, reason.value)
-            return
+            return reason.value
         own_key = (module_id, directive.own_port)
         peer_key = (directive.peer, directive.peer_port)
         if own_key in claimed_ports or peer_key in claimed_ports:
-            self._reject(module_id, directive, docking.DockRejection.PORT_BUSY.value)
-            return
+            return docking.DockRejection.PORT_BUSY.value
         distance = world.distance(module_id, directive.peer)
         if distance > self.config.module_pitch + _EPS \
-                and state.spec.locomotion_speed_cm_s <= 0:
-            self._reject(module_id, directive, "CannotMove")
-            return
+                and world.modules[module_id].spec.locomotion_speed_cm_s <= 0:
+            return "CannotMove"
         if self._held_up(module_id) or self._held_up(directive.peer):
-            self._reject(module_id, directive, "Busy")
-            return
+            return "Busy"
         claimed_ports.add(own_key)
         claimed_ports.add(peer_key)
         world.claims[own_key] = ("approaching", directive.peer)
@@ -318,16 +300,16 @@ class Engine:
         self.emit("ApproachStart", (module_id, directive.peer), {
             "own_port": directive.own_port, "peer_port": directive.peer_port,
             "distance_m": distance})
+        return None
 
-    def _dispatch_actuation(self, module_id: str, directive: ActuateJoint) -> None:
+    def _dispatch_actuation(self, module_id: str, directive: ActuateJoint) -> Optional[str]:
         world = self.world
         state = world.modules[module_id]
         try:
             duration = mechanics.actuation_duration(
                 world, module_id, directive.joint, directive.target_deg)
         except mechanics.JointLimitExceeded:
-            self._reject(module_id, directive, "JointLimit")
-            return
+            return "JointLimit"
         start = (state.joint_bend_deg if directive.joint is Joint.BEND
                  else state.joint_rotation_deg)
         self.activities[module_id] = _Activity(directive, duration)
@@ -335,33 +317,31 @@ class Engine:
         self.emit(name, (module_id,), {
             "from_deg": start, "to_deg": directive.target_deg,
             "duration_s": duration})
+        return None
 
-    def _dispatch_lift(self, module_id: str, directive: LiftChain) -> None:
+    def _dispatch_lift(self, module_id: str, directive: LiftChain) -> Optional[str]:
         world = self.world
         state = world.modules[module_id]
         if module_id in world.lifted.values():
-            self._reject(module_id, directive, "Busy")
-            return
+            return "Busy"
         try:
             assessment = mechanics.lift_feasible(world, module_id, directive.chain)
         except (ValueError, KeyError):
-            self._reject(module_id, directive, "BadTarget")
-            return
+            return "BadTarget"
         if not assessment.feasible:
-            self._reject(module_id, directive, "TorqueExceeded")
-            return
+            return "TorqueExceeded"
         activities = self.activities
         if any(self._held_up(mid) or mid in world.lifted.values()
                or mid in activities and isinstance(activities[mid].directive, LiftChain)
                for mid in directive.chain):
-            self._reject(module_id, directive, "BadTarget")
-            return
+            return "BadTarget"
         travel_s = mechanics.joint_travel_s(
             state.spec, state.joint_bend_deg, _lift_angle(state.spec))
         self.activities[module_id] = _Activity(LiftChain(tuple(directive.chain)), travel_s)
         self.emit("LiftStart", (module_id,), {
             "chain": list(directive.chain),
             "required_torque_nm": assessment.required_torque_nm})
+        return None
 
     # -- phase 3 ------------------------------------------------------------------
 
@@ -562,7 +542,7 @@ class Engine:
         world = self.world
         for src, payload in self._pending_broadcasts:
             try:
-                receivers = commnet.wireless_broadcast(world, src, payload)
+                receivers = commnet.wireless_broadcast(world, src)
             except commnet.DeadBattery:
                 self.emit("BroadcastFailed", (src,), {"reason": "DeadBattery"})
                 continue

@@ -119,7 +119,7 @@ class TestWirelessBroadcast:
         world = World()
         world.add_module("bb", ModuleKind.BACKBONE, pos=(0.0, 0.0))
         world.add_module("aw", ModuleKind.ACTIVE_WHEEL, pos=(1.5, 0.0))
-        assert wireless_broadcast(world, "bb", "help") == ["aw"]
+        assert wireless_broadcast(world, "bb") == ["aw"]
 
     def test_range_cutoff(self):
         world = World()

@@ -535,6 +535,21 @@ class TestRecordBehaviour:
             pose.replace(heading_deg=45)
 
 
+class TestSimConfigChecks:
+    """The range checks run on every ``SimConfig``, built directly or as a
+    ``replace`` copy, not only through ``with_overrides``."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: SimConfig(idle_draw_w=-5.0),
+        lambda: SimConfig(current_limit_a=-1.0),
+        lambda: SimConfig(wireless_drop_probability=2.0),
+        lambda: SimConfig().replace(dt=0.0),
+    ], ids=["idle_draw", "current_limit", "drop_probability", "replace_dt"])
+    def test_out_of_range_is_refused(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+
 class TestNaNIsRefused:
     """A range check written ``x < 0`` lets NaN through, since every
     comparison with NaN is False; each check here is written so that NaN

@@ -210,6 +210,15 @@ class TestEngineBasics:
                 busy.append("m" in engine.activities)
             assert busy == [True] * (ticks - 1) + [False, False]
 
+    def test_event_emitted_between_steps_lands_in_the_next_tick(self):
+        engine = single_module_engine()
+        engine.step()
+        engine.emit("Note", ("m",), {"text": "a"})
+        events = engine.step()
+        assert [(e.tick, e.event, e.subjects, e.data) for e in events] == [
+            (1, "Note", ("m",), {"text": "a"})]
+        assert engine.log.events_named("Note") == events
+
     def test_set_sharing_is_instant(self):
         engine = single_module_engine()
         events = engine.step([("m", SetSharing(False))])
